@@ -17,8 +17,7 @@ from .errors import (ConfigError, CutterKitError, DegenerateSubgradientError,
                      DivergenceError, EstimationError, InfeasibleError,
                      ProbeFailure, UsageError)
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
-                       Hyperplane, as_point, distance, intersect_affine,
-                       project)
+                       Hyperplane, as_point, intersect_affine)
 from .operators import (Operator, compose, generalized_dr, identity,
                         projection_operator, proximal, relax,
                         subgradient_projection)
@@ -37,10 +36,10 @@ __all__ = [
     "RegularityReport", "RelaxationPair", "Trace", "UsageError",
     "alpha_beta", "as_point", "big_radius", "compose", "cutter_check",
     "dc_gap_check", "delta_product", "delta_projections",
-    "demicontraction_check", "demicontraction_rho", "distance", "emit_svg",
+    "demicontraction_check", "demicontraction_rho", "emit_svg",
     "fejer_check", "generalized_dr", "identity", "intersect_affine",
     "iterate", "iterate_reformulated", "lb1_check", "lb2_check", "nu",
-    "pair_regularity_estimate", "project", "projection_operator", "proximal",
+    "pair_regularity_estimate", "projection_operator", "proximal",
     "qlinear_rate", "rate_certificate", "regularity_modulus_estimate",
     "relax", "relaxed_cutter_check", "rho_overrelax", "run_dr", "run_map",
     "sample_ball", "subgradient_projection",

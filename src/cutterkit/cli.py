@@ -52,33 +52,16 @@ def paper_traces(iters: int = 30):
     a, b = paper_problem()
     x0 = np.array([1.0, 0.0])
     origin = np.zeros(2)
-    t_map = run_map(a, b, x0, iters, reference=origin, solution=origin)
-    t_dr = run_dr(a, b, x0, iters, reference=origin, solution=origin)
+    t_map = run_map(a, b, x0, iters, solution=origin)
+    t_dr = run_dr(a, b, x0, iters, solution=origin)
     t = relax(projection_operator(a), 3.0)
     u = projection_operator(b)
     cfg = IterationConfig(
         pair=RelaxationPair(3.0, 1.0), x0=x0, epsilon=1.0, alpha=1.0,
         max_iter=iters, residual_tol=1e-300,
     )
-    t_new = iterate(t, u, cfg, reference=origin, solution=origin)
+    t_new = iterate(t, u, cfg, solution=origin)
     return [("map", t_map), ("dr", t_dr), ("new", t_new)]
-
-
-def _write_error_table(path, named_traces):
-    cols = ["k"] + [f"log10_err_{name}" for name, _ in named_traces]
-    n = max(tr.iterates.shape[0] for _, tr in named_traces)
-    lines = [",".join(cols)]
-    for k in range(n):
-        row = [str(k)]
-        for _, tr in named_traces:
-            if tr.solution_errors is not None and k < len(tr.solution_errors):
-                e = tr.solution_errors[k]
-                row.append(f"{(math.log10(e) if e > 0 else -math.inf):.17g}")
-            else:
-                row.append("")
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
@@ -86,7 +69,13 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
     named = paper_traces(iters)
     for name, tr in named:
         configio.write_trace_csv(os.path.join(out_dir, f"{name}.csv"), tr)
-    _write_error_table(os.path.join(out_dir, "errors.csv"), named)
+    n = max(tr.iterates.shape[0] for _, tr in named)
+    lines = [",".join(["k"] + [f"log10_err_{name}" for name, _ in named])]
+    for k in range(n):
+        cells = [configio._log10_cell(tr.solution_errors[k])
+                 if k < len(tr.solution_errors) else "" for _, tr in named]
+        lines.append(",".join([str(k)] + cells))
+    configio._write_lines(os.path.join(out_dir, "errors.csv"), lines)
     traces = [tr for _, tr in named]
     labels = [name for name, _ in named]
     emit_svg(traces, os.path.join(out_dir, "trajectories.svg"),
@@ -126,11 +115,11 @@ def _product_operators(cfg, method):
     if method.t_spec is not None:
         t = configio.operator_from_dict(method.t_spec, sets)
     else:
-        t = relax(projection_operator(sets[0]), method.lam)
+        t = relax(projection_operator(sets[0]), method.pair.lam)
     if method.u_spec is not None:
         u = configio.operator_from_dict(method.u_spec, sets)
     else:
-        u = relax(projection_operator(sets[1]), method.mu)
+        u = relax(projection_operator(sets[1]), method.pair.mu)
     return t, u
 
 
@@ -146,24 +135,24 @@ def _intersection_oracle(cfg):
     return None
 
 
-def _run_method(cfg, method, solution=None, reference=None,
-                max_iter=None, residual_tol=1e-300) -> Trace:
+def _run_method(cfg, method, solution=None, max_iter=None,
+                residual_tol=1e-300) -> Trace:
     iters = max_iter if max_iter is not None else cfg.iterations
     a, b = cfg.sets[0], cfg.sets[1]
     if method.driver == "map":
-        return run_map(a, b, cfg.x0, iters, reference=reference, solution=solution)
+        return run_map(a, b, cfg.x0, iters, residual_tol, solution)
     if method.driver == "dr":
-        return run_dr(a, b, cfg.x0, iters, reference=reference, solution=solution)
+        return run_dr(a, b, cfg.x0, iters, residual_tol, solution)
     t, u = _product_operators(cfg, method)
     run_cfg = IterationConfig(
-        pair=RelaxationPair(method.lam, method.mu),
+        pair=method.pair,
         x0=cfg.x0,
         epsilon=method.epsilon,
         alpha=method.alpha,
         max_iter=iters,
         residual_tol=residual_tol,
     )
-    return iterate(t, u, run_cfg, reference=reference, solution=solution)
+    return iterate(t, u, run_cfg, solution=solution)
 
 
 def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
@@ -178,7 +167,6 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     if oracle is not None and isinstance(oracle, AffineSubspace) \
             and oracle.basis.shape[0] == 0:
         solution = oracle.anchor  # unique intersection point
-    reference = solution
 
     csv_dir = cfg.outputs.get("csv", "out")
     os.makedirs(csv_dir, exist_ok=True)
@@ -186,7 +174,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     report_lines = [f"config: {config_path}", f"seed: {cfg.seed}"]
     named = []
     for method in cfg.methods:
-        trace = _run_method(cfg, method, solution=solution, reference=reference,
+        trace = _run_method(cfg, method, solution=solution,
                             residual_tol=residual_tol)
         named.append((method.name, trace))
         configio.write_trace_csv(os.path.join(csv_dir, f"{method.name}.csv"), trace)
@@ -205,8 +193,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
         if solution is not None:
             emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
                      kind="error", labels=labels)
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    configio._write_lines(report_path, report_lines)
     for line in report_lines:
         print(line)
     return EXIT_OK
@@ -214,7 +201,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
 
 def _verify_product(cfg, method, oracle, probe, reports):
     a, b = cfg.sets[0], cfg.sets[1]
-    pair = RelaxationPair(method.lam, method.mu)
+    pair = method.pair
     n = nu(pair)
     t, u = _product_operators(cfg, method)
     pa, pb = projection_operator(a), projection_operator(b)
@@ -233,15 +220,15 @@ def _verify_product(cfg, method, oracle, probe, reports):
     add("cutter.PA", diagnostics.cutter_check(pa, fixed_a, probe))
     add("cutter.PB", diagnostics.cutter_check(pb, fixed_b, probe))
     add("relaxed-cutter.T",
-        diagnostics.relaxed_cutter_check(t, method.lam, fixed_a, probe))
+        diagnostics.relaxed_cutter_check(t, pair.lam, fixed_a, probe))
     add("relaxed-cutter.U",
-        diagnostics.relaxed_cutter_check(u, method.mu, fixed_b, probe))
+        diagnostics.relaxed_cutter_check(u, pair.mu, fixed_b, probe))
     add("demicontraction.T",
         diagnostics.demicontraction_check(
-            t, demicontraction_rho(method.lam), fixed_a, probe))
+            t, demicontraction_rho(pair.lam), fixed_a, probe))
     add("demicontraction.U",
         diagnostics.demicontraction_check(
-            u, demicontraction_rho(method.mu), fixed_b, probe))
+            u, demicontraction_rho(pair.mu), fixed_b, probe))
 
     if w is None:
         reports.append(diagnostics.RegularityReport(
@@ -253,17 +240,25 @@ def _verify_product(cfg, method, oracle, probe, reports):
     add("lb1", diagnostics.lb1_check(t, u, pair, [w], probe))
     add("lb2", diagnostics.lb2_check(t, u, pair, oracle, probe))
 
-    # converged run for the trace-based probes
-    trace = _run_method(cfg, method, solution=None, reference=w,
-                        max_iter=max(cfg.iterations, 2000), residual_tol=1e-10)
-    add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle))
-    add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, method.epsilon))
+    trace = _converged_probes(cfg, method, w, oracle, n, method.epsilon, reports)
     kappa = diagnostics.pair_regularity_estimate(a, b, oracle, probe)
     delta = delta_projections(pair, kappa)
     rate_rep = diagnostics.rate_certificate(
         trace, trace.final, method.epsilon, delta, n)
     rate_rep.kappa_hat = kappa
     add("rate", rate_rep)
+
+
+def _converged_probes(cfg, method, w, oracle, nu_value, epsilon, reports):
+    """Fejer and per-step gap probes on a run to residual 1e-10; returns
+    the run's trace."""
+    trace = _run_method(cfg, method, max_iter=max(cfg.iterations, 2000),
+                        residual_tol=1e-10)
+    for rep in (diagnostics.fejer_check(trace, w, intersection_distance=oracle),
+                diagnostics.dc_gap_check(trace, w, nu_value, epsilon)):
+        rep.name = f"{method.name}.{rep.name}"
+        reports.append(rep)
+    return trace
 
 
 def _verify_baseline(cfg, method, oracle, nu_value, epsilon, reports):
@@ -273,14 +268,7 @@ def _verify_baseline(cfg, method, oracle, nu_value, epsilon, reports):
             name=f"{method.name}.fejer", passed=True, margin=math.inf,
             samples=0, skipped=True, note="no intersection oracle"))
         return
-    trace = _run_method(cfg, method, reference=w,
-                        max_iter=max(cfg.iterations, 2000), residual_tol=1e-10)
-    rep = diagnostics.fejer_check(trace, w, intersection_distance=oracle)
-    rep.name = f"{method.name}.fejer"
-    reports.append(rep)
-    rep = diagnostics.dc_gap_check(trace, w, nu_value, epsilon)
-    rep.name = f"{method.name}.fejer-dc"
-    reports.append(rep)
+    _converged_probes(cfg, method, w, oracle, nu_value, epsilon, reports)
 
 
 def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
@@ -304,8 +292,10 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
             _verify_product(cfg, method, oracle, probe, reports)
         elif method.driver == "map":
             # alternating projections = the product method with lam = mu = 1
-            _verify_baseline(cfg, method, oracle, nu_value=4.0 / 3.0,
-                             epsilon=2.0 / 3.0, reports=reports)
+            # and alpha = nu, which [eps, 2 - eps] holds up to eps = 2 - nu
+            n_map = nu(RelaxationPair(1.0, 1.0))
+            _verify_baseline(cfg, method, oracle, nu_value=n_map,
+                             epsilon=2.0 - n_map, reports=reports)
         else:  # dr: (P_B)_2 (P_A)_2 is a 2-relaxed cutter
             _verify_baseline(cfg, method, oracle, nu_value=2.0,
                              epsilon=1.0, reports=reports)
@@ -316,8 +306,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
         parent = os.path.dirname(report_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        configio._write_lines(report_path, lines)
     for line in lines:
         print(line)
     failed = [r for r in reports if not r.skipped and not r.passed]
@@ -344,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--seed", type=int, default=None)
     rp.add_argument("--iters", type=int, default=None)
     rp.add_argument("--tol", type=float, default=None,
-                    help="stop product methods once the residual drops below this")
+                    help="stop every method once its residual drops to this")
 
     vp = sub.add_parser("verify", help="run the diagnostics battery")
     vp.add_argument("config")

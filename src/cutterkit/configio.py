@@ -23,6 +23,7 @@ The config is a single JSON document:
 Set types: hyperplane {normal, offset}, halfspace {normal, offset},
 affine {anchor, basis}, ball {center, radius}, box {lo, hi}.
 
+Method names name the CSV files, so they are unique plain file names.
 Product methods apply lambda to the projection onto sets[0] (evaluated
 first) and mu to the projection onto sets[1].  A method may override its
 operators with explicit specs, e.g.
@@ -51,6 +52,7 @@ from .errors import ConfigError, UsageError
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
                        Hyperplane, as_point)
 from .operators import Operator, compose, identity, projection_operator, relax
+from .theory import RelaxationPair
 
 
 def set_from_dict(obj) -> ConvexSet:
@@ -119,9 +121,8 @@ def operator_from_dict(obj, sets) -> Operator:
 class MethodSpec:
     name: str
     driver: str                       # map | dr | product
-    lam: float = 1.0
-    mu: float = 1.0
-    alpha: object = 1.0
+    pair: RelaxationPair | None = None  # product methods only
+    alpha: object = 1.0               # a float or a list of floats
     epsilon: float | None = None
     t_spec: dict | None = None
     u_spec: dict | None = None
@@ -146,12 +147,31 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(value, where: str, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}") from None
+
+
+def _method_name(m: dict, where: str, seen: set) -> str:
+    """A method name is a CSV file stem: no path parts, no duplicates."""
+    name = str(_require(m, "name", where))
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{where}: method name {name!r} is not a plain file name")
+    if name in seen:
+        raise ConfigError(f"{where}: duplicate method name {name!r}")
+    seen.add(name)
+    return name
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
-    Structural problems raise ConfigError; violated hypotheses (empty
-    methods, lambda*mu >= 4 on a product entry, dimension mismatches)
-    raise UsageError.
+    Structural problems (missing or non-numeric fields, method names
+    that are not plain file names or repeat) raise ConfigError; violated
+    hypotheses (empty methods, lambda*mu >= 4 on a product entry,
+    dimension mismatches) raise UsageError.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -180,30 +200,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not raw_methods:
         raise UsageError("methods list is empty")
     methods = []
+    seen: set = set()
     for i, m in enumerate(raw_methods):
         where = f"methods[{i}]"
-        name = str(_require(m, "name", where))
+        name = _method_name(m, where, seen)
         driver = str(_require(m, "driver", where))
         if driver not in ("map", "dr", "product"):
             raise ConfigError(f"{where}: unknown driver {driver!r}")
         spec = MethodSpec(name=name, driver=driver)
         if driver == "product":
-            spec.lam = float(_require(m, "lambda", where))
-            spec.mu = float(_require(m, "mu", where))
-            if not (spec.lam > 0 and spec.mu > 0):
-                raise UsageError(f"{where}: relaxation parameters must be positive")
-            if not spec.lam * spec.mu < 4:
-                raise UsageError(
-                    f"{where}: lambda*mu must be < 4 "
-                    f"(got {spec.lam} * {spec.mu} = {spec.lam * spec.mu})"
-                )
-            spec.alpha = m.get("alpha", 1.0)
+            lam = _number(_require(m, "lambda", where), where, "lambda")
+            mu = _number(_require(m, "mu", where), where, "mu")
+            try:
+                spec.pair = RelaxationPair(lam, mu)
+            except UsageError as exc:
+                raise UsageError(f"{where}: {exc}") from None
+            alpha = m.get("alpha", 1.0)
+            if isinstance(alpha, list):
+                if not alpha:
+                    raise ConfigError(f"{where}: alpha list is empty")
+                spec.alpha = [_number(a, where, "alpha") for a in alpha]
+            else:
+                spec.alpha = _number(alpha, where, "alpha")
             eps = m.get("epsilon")
             if eps is None:
                 # widest admissible window around the configured steps
-                avals = np.atleast_1d(np.asarray(spec.alpha, dtype=float))
+                avals = np.atleast_1d(spec.alpha)
                 eps = min(float(avals.min()), 2.0 - float(avals.max()))
-            spec.epsilon = float(eps)
+            spec.epsilon = _number(eps, where, "epsilon")
             spec.t_spec = m.get("T")
             spec.u_spec = m.get("U")
         methods.append(spec)
@@ -241,6 +265,16 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _log10_cell(e: float) -> str:
+    return _fmt(math.log10(e) if e > 0 else -math.inf)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write text lines, each ending in a newline, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trace_csv(path: str, trace: Trace) -> None:
     """Write a trace in the canonical CSV schema (17 significant digits)."""
     n, d = trace.iterates.shape
@@ -255,10 +289,9 @@ def write_trace_csv(path: str, trace: Trace) -> None:
         if with_err:
             e = trace.solution_errors[k]
             row.append(_fmt(e))
-            row.append(_fmt(math.log10(e) if e > 0 else -math.inf))
+            row.append(_log10_cell(e))
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_trace_csv(path: str) -> Trace:

@@ -1,10 +1,15 @@
-"""Composed-iteration drivers and trace recording.
+"""The composed iteration and its traces.
 
-The main driver runs x^{k+1} = x^k + (alpha_k / nu) (U T(x^k) - x^k) with
-alpha_k in [eps, 2 - eps]; the reformulated driver applies the effective
-step directly, x^{k+1} = x^k + abar_k (U T(x^k) - x^k) with abar_k in
-[eps, 1 + rho - eps].  The two produce identical trajectories under
-abar_k = alpha_k / nu.
+Every driver is one loop, ``_run``: x^{k+1} = x^k + c_k (W(x^k) - x^k),
+stopped after max_iter transitions or at the first residual
+||W(x^k) - x^k|| <= residual_tol.  The drivers differ only in W and in
+the step schedule c_k:
+
+- iterate: W = U T, c_k = alpha_k / nu with alpha_k in [eps, 2 - eps];
+- iterate_reformulated: W = U T, c_k = abar_k in [eps, 1 + rho - eps],
+  the same trajectory as iterate under abar_k = alpha_k / nu;
+- run_map: W = P_B P_A, c_k = 1 (lam = mu = 1);
+- run_dr: W = (P_B)_2 (P_A)_2, c_k = 1/2 (lam = mu = 2).
 """
 
 from __future__ import annotations
@@ -61,15 +66,13 @@ class Trace:
     """Recorded run: iterates plus per-transition residuals and steps.
 
     step_sizes holds the effective multiplier applied to (U T(x) - x) at
-    each transition.  fejer_gaps are ||x^k - w||^2 - ||x^{k+1} - w||^2 for
-    the reference supplied to the driver; solution_errors are
-    ||x^k - x*|| per iterate.
+    each transition; solution_errors are ||x^k - x*|| per iterate, when
+    the driver was given a solution x*.
     """
 
     iterates: np.ndarray
     residuals: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
-    fejer_gaps: list | None = None
     solution_errors: list | None = None
 
     @property
@@ -85,123 +88,100 @@ class Trace:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
-def _run(w_eval, x0, coeff_at, max_iter, residual_tol, reference, solution):
-    """Shared inner loop: x <- x + coeff_k (W(x) - x), recording the trace."""
-    x = as_point(x0)
+def _run(w_eval, x0, coeff_at, max_iter, residual_tol, solution):
+    """The iteration loop: x <- x + coeff_k (W(x) - x), recording the trace.
+
+    Stops after max_iter transitions or once ||W(x^k) - x^k|| <=
+    residual_tol (checked after the transition is recorded).
+    """
+    if int(max_iter) < 0:
+        raise UsageError(f"max_iter must be >= 0, got {max_iter}")
+    x = x0
+    if solution is not None:
+        solution = as_point(solution, x.size)
     iterates = [x]
     residuals: list[float] = []
     steps: list[float] = []
-    gaps: list[float] | None = [] if reference is not None else None
-    errs: list[float] | None = None
-    if solution is not None:
-        solution = as_point(solution, x.size)
-        errs = [float(np.linalg.norm(x - solution))]
-    if reference is not None:
-        reference = as_point(reference, x.size)
 
-    def partial():
-        return Trace(np.array(iterates), residuals, steps, gaps, errs)
+    def trace():
+        errs = None
+        if solution is not None:
+            errs = [float(np.linalg.norm(p - solution)) for p in iterates]
+        return Trace(np.array(iterates), residuals, steps, errs)
 
     for k in range(int(max_iter)):
         wx = np.asarray(w_eval(x), dtype=float)
         res = float(np.linalg.norm(wx - x))
         if not np.isfinite(res):
-            raise DivergenceError(f"non-finite operator value at step {k}", partial())
+            raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = coeff_at(k)
-        x_next = x + coeff * (wx - x)
-        if not np.all(np.isfinite(x_next)):
-            raise DivergenceError(f"non-finite iterate at step {k}", partial())
+        x = x + coeff * (wx - x)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"non-finite iterate at step {k}", trace())
         residuals.append(res)
         steps.append(coeff)
-        iterates.append(x_next)
-        if gaps is not None:
-            gaps.append(
-                float(np.linalg.norm(x - reference) ** 2
-                      - np.linalg.norm(x_next - reference) ** 2)
-            )
-        if errs is not None:
-            errs.append(float(np.linalg.norm(x_next - solution)))
-        x = x_next
+        iterates.append(x)
         if res <= residual_tol:
             break
-    return partial()
+    return trace()
 
 
-def _check_dims(t: Operator, u: Operator, x0: np.ndarray):
+def _run_product(t: Operator, u: Operator, config: IterationConfig, hi: float,
+                 divisor: float, solution) -> Trace:
+    """Run W = U T with steps c_k = a_k / divisor, a_k in [eps, hi]."""
     for op in (t, u):
-        if op.dim is not None and op.dim != x0.size:
+        if op.dim is not None and op.dim != config.x0.size:
             raise UsageError(
-                f"operator dimension {op.dim} does not match x0 dimension {x0.size}"
+                f"operator dimension {op.dim} does not match x0 dimension "
+                f"{config.x0.size}"
             )
+    lo = config.epsilon
+    if hi < lo:
+        raise UsageError(f"empty step window [{lo}, {hi}]")
+
+    def coeff_at(k):
+        a = config.alpha_at(k)
+        if a < lo or a > hi:
+            raise UsageError(f"step {k}: {a} outside [{lo}, {hi}]")
+        return a / divisor
+
+    return _run(lambda x: u(t(x)), config.x0, coeff_at, config.max_iter,
+                config.residual_tol, solution)
 
 
 def iterate(t: Operator, u: Operator, config: IterationConfig,
-            reference=None, solution=None) -> Trace:
-    """Run x^{k+1} = x^k + (alpha_k / nu)(U T(x^k) - x^k).
-
-    Stops when ||U T(x^k) - x^k|| <= residual_tol (checked after the
-    transition is recorded) or after max_iter transitions.
-    """
-    _check_dims(t, u, config.x0)
-    if config.epsilon > 1.0:
-        raise UsageError("epsilon must be <= 1 so that [eps, 2 - eps] is nonempty")
-    n = nu(config.pair)
-
-    def coeff_at(k):
-        a = config.alpha_at(k)
-        if a < config.epsilon or a > 2.0 - config.epsilon:
-            raise UsageError(
-                f"alpha_{k} = {a} outside [{config.epsilon}, {2.0 - config.epsilon}]"
-            )
-        return a / n
-
-    return _run(lambda x: u(t(x)), config.x0, coeff_at, config.max_iter,
-                config.residual_tol, reference, solution)
+            solution=None) -> Trace:
+    """Run x^{k+1} = x^k + (alpha_k / nu)(U T(x^k) - x^k),
+    alpha_k in [eps, 2 - eps]."""
+    return _run_product(t, u, config, 2.0 - config.epsilon, nu(config.pair),
+                        solution)
 
 
 def iterate_reformulated(t: Operator, u: Operator, config: IterationConfig,
-                         reference=None, solution=None) -> Trace:
+                         solution=None) -> Trace:
     """Run x^{k+1} = x^k + abar_k (U T(x^k) - x^k) with
     abar_k in [eps, 1 + rho - eps], rho = (2 - nu)/nu."""
-    _check_dims(t, u, config.x0)
-    rho = rho_overrelax(config.pair)
-    hi = 1.0 + rho - config.epsilon
-    if hi < config.epsilon:
-        raise UsageError(
-            f"empty step window: [eps, 1 + rho - eps] = [{config.epsilon}, {hi}]"
-        )
-
-    def coeff_at(k):
-        a = config.alpha_at(k)
-        if a < config.epsilon or a > hi:
-            raise UsageError(f"abar_{k} = {a} outside [{config.epsilon}, {hi}]")
-        return a
-
-    return _run(lambda x: u(t(x)), config.x0, coeff_at, config.max_iter,
-                config.residual_tol, reference, solution)
+    hi = 1.0 + rho_overrelax(config.pair) - config.epsilon
+    return _run_product(t, u, config, hi, 1.0, solution)
 
 
-def run_map(a: ConvexSet, b: ConvexSet, x0, n: int,
-            reference=None, solution=None) -> Trace:
-    """Method of alternating projections x^{k+1} = P_B P_A x^k for n steps."""
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    x0 = as_point(x0, a.dim)
-    return _run(lambda x: b.project(a.project(x)), x0, lambda k: 1.0,
-                n, 0.0, reference, solution)
+def run_map(a: ConvexSet, b: ConvexSet, x0, n: int, residual_tol: float = 0.0,
+            solution=None) -> Trace:
+    """Method of alternating projections x^{k+1} = P_B P_A x^k for up to
+    n steps."""
+    return _run(lambda x: b.project(a.project(x)), as_point(x0, a.dim),
+                lambda k: 1.0, n, residual_tol, solution)
 
 
-def run_dr(a: ConvexSet, b: ConvexSet, x0, n: int,
-            reference=None, solution=None) -> Trace:
+def run_dr(a: ConvexSet, b: ConvexSet, x0, n: int, residual_tol: float = 0.0,
+           solution=None) -> Trace:
     """Douglas-Rachford comparison driver
-    x^{k+1} = x^k + (1/2)((P_B)_2 (P_A)_2 x^k - x^k) for n steps.
+    x^{k+1} = x^k + (1/2)((P_B)_2 (P_A)_2 x^k - x^k) for up to n steps.
 
     lam = mu = 2 sits outside the lam*mu < 4 hypothesis, so this is a
     standalone baseline rather than a RelaxationPair-driven run.
     """
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    x0 = as_point(x0, a.dim)
     ra = relax(projection_operator(a), 2.0)
     rb = relax(projection_operator(b), 2.0)
-    return _run(lambda x: rb(ra(x)), x0, lambda k: 0.5, n, 0.0, reference, solution)
+    return _run(lambda x: rb(ra(x)), as_point(x0, a.dim), lambda k: 0.5, n,
+                residual_tol, solution)

@@ -186,16 +186,6 @@ class Box(ConvexSet):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-def project(cset: ConvexSet, x) -> np.ndarray:
-    """argmin over the set of ||y - x||."""
-    return cset.project(x)
-
-
-def distance(cset: ConvexSet, x):
-    """d(x, C) = inf over the set of ||x - c||."""
-    return cset.distance(x)
-
-
 def _constraint_rows(cset):
     """Represent an affine set as stacked equality constraints M x = c."""
     if isinstance(cset, Hyperplane):

@@ -3,6 +3,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 from cutterkit.cli import main, paper_traces
 from cutterkit.configio import read_trace_csv
@@ -131,6 +132,23 @@ def test_run_exit_codes(tmp_path):
     assert main(["run", str(cfg)]) == 5
 
 
+PRODUCT = {"driver": "product", "lambda": 3.0, "mu": 1.0, "epsilon": 1.0}
+
+
+@pytest.mark.parametrize("methods", [
+    [{"name": "../../evil", "driver": "map"}],
+    [{"name": "twin", "driver": "map"}, {"name": "twin", "driver": "dr"}],
+    [dict(PRODUCT, name="new", alpha="1.0x")],
+], ids=["path-name", "duplicate-name", "non-numeric-alpha"])
+def test_run_rejects_bad_methods_without_writing(tmp_path, methods):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=methods)
+    around = sorted(tmp_path.parent.iterdir())
+    assert main(["run", str(cfg)]) == 2
+    assert sorted(tmp_path.parent.iterdir()) == around
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -177,3 +195,13 @@ def test_verify_seed_override_changes_probe_seed(tmp_path, capsys):
     write_config(cfg)
     assert main(["verify", str(cfg), "--seed", "99"]) == 0
     assert "seed=99" in capsys.readouterr().out
+
+
+def test_verify_baselines_stop_at_residual_tol(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["verify", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    # 2 * steps + 1 samples: MAP stops after 77 steps, DR after 162
+    assert re.search(r"^PROBE map\.fejer PASS .* samples=155 ", out, re.M)
+    assert re.search(r"^PROBE dr\.fejer PASS .* samples=325 ", out, re.M)

@@ -82,7 +82,7 @@ def test_operator_from_dict_tree():
 def test_parse_config_happy_path():
     cfg = parse_config(base_doc())
     assert len(cfg.sets) == 2 and cfg.iterations == 30 and cfg.seed == 3
-    assert cfg.methods[1].lam == 3.0 and cfg.methods[1].epsilon == 1.0
+    assert cfg.methods[1].pair.lam == 3.0 and cfg.methods[1].epsilon == 1.0
 
 
 def test_parse_config_validation_errors():

@@ -284,7 +284,7 @@ def test_pair_regularity_monotone_in_sample_count():
 
 def map_trace(n=30, x0=None):
     x0 = U_PI6.copy() if x0 is None else x0
-    return run_map(LINE_A, LINE_B, x0, n, reference=ORIGIN, solution=ORIGIN)
+    return run_map(LINE_A, LINE_B, x0, n, solution=ORIGIN)
 
 
 def test_rate_certificate_map_q_factor():

@@ -178,19 +178,18 @@ def test_trace_records_lengths_and_optional_channels():
     t, u = new_method_ops()
     cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=1.0,
                           alpha=1.0, max_iter=7, residual_tol=1e-300)
-    tr = iterate(t, u, cfg, reference=ORIGIN, solution=ORIGIN)
+    tr = iterate(t, u, cfg, solution=ORIGIN)
     n = tr.n_steps
     assert n == 7
     assert tr.iterates.shape == (n + 1, 2)
     assert len(tr.residuals) == len(tr.step_sizes) == n
-    assert len(tr.fejer_gaps) == n
     assert len(tr.solution_errors) == n + 1
     assert np.all(np.isfinite(tr.iterates))
     assert all(np.isfinite(v) for v in tr.residuals + tr.step_sizes
-               + tr.fejer_gaps + tr.solution_errors)
-    # without the optional channels
+               + tr.solution_errors)
+    # without the optional channel
     tr = iterate(t, u, cfg)
-    assert tr.fejer_gaps is None and tr.solution_errors is None
+    assert tr.solution_errors is None
 
 
 def test_divergence_error_carries_partial_trace():
@@ -198,8 +197,9 @@ def test_divergence_error_carries_partial_trace():
     cfg = IterationConfig(pair=RelaxationPair(1.0, 1.0), x0=X0, epsilon=1.0,
                           alpha=1.0, max_iter=10)
     with pytest.raises(DivergenceError) as exc:
-        iterate(bad, identity(), cfg)
+        iterate(bad, identity(), cfg, solution=ORIGIN)
     assert exc.value.trace.iterates.shape == (1, 2)
+    assert exc.value.trace.solution_errors == [1.0]
 
 
 def test_residuals_decrease_on_paper_problem_for_all_drivers():
@@ -218,5 +218,14 @@ def test_residuals_decrease_on_paper_problem_for_all_drivers():
 
 
 def test_fejer_gaps_are_nonnegative_on_paper_problem():
-    tr = run_map(LINE_A, LINE_B, X0, 20, reference=ORIGIN)
-    assert np.min(tr.fejer_gaps) > -1e-15
+    tr = run_map(LINE_A, LINE_B, X0, 20)
+    d2 = np.linalg.norm(tr.iterates - ORIGIN, axis=1) ** 2
+    assert np.min(d2[:-1] - d2[1:]) > -1e-15
+
+
+@pytest.mark.parametrize("driver, steps", [(run_map, 77), (run_dr, 162)])
+def test_baselines_stop_at_residual_tol(driver, steps):
+    tr = driver(LINE_A, LINE_B, X0, 2000, residual_tol=1e-10)
+    assert tr.n_steps == steps
+    assert tr.final_residual <= 1e-10
+    assert all(r > 1e-10 for r in tr.residuals[:-1])

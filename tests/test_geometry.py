@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutterkit import (AffineSubspace, Ball, Box, HalfSpace, Hyperplane,
-                       InfeasibleError, UsageError, as_point, distance,
-                       intersect_affine, project)
+                       InfeasibleError, UsageError, as_point, intersect_affine)
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)                 # x-axis
@@ -57,7 +56,7 @@ def test_dimension_mismatch_is_usage_error():
     with pytest.raises(UsageError):
         LINE_A.project(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(UsageError):
-        distance(Ball([0.0, 0.0], 1.0), np.array([1.0]))
+        Ball([0.0, 0.0], 1.0).distance(np.array([1.0]))
 
 
 def test_affine_basis_orthonormalized():
@@ -77,12 +76,12 @@ def test_affine_basis_orthonormalized():
 
 def test_project_hyperplane_point_already_in_set():
     x = np.array([1.0, 0.0])
-    assert np.array_equal(project(LINE_A, x), x)
+    assert np.array_equal(LINE_A.project(x), x)
 
 
 def test_project_line_pi6_closed_form_and_grid_oracle():
     x = np.array([1.0, 0.0])
-    got = project(LINE_B, x)
+    got = LINE_B.project(x)
     expected = np.array([0.75, math.sqrt(3) / 4])
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -97,29 +96,29 @@ def test_project_line_pi6_closed_form_and_grid_oracle():
 
 def test_project_ball_radial():
     ball = Ball([0.0, 0.0], 1.0)
-    assert np.allclose(project(ball, [2.0, 0.0]), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(ball.project([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
     inside = np.array([0.25, -0.1])
-    assert np.array_equal(project(ball, inside), inside)
+    assert np.array_equal(ball.project(inside), inside)
 
 
 def test_project_halfspace_and_box():
     hs = HalfSpace([1.0, 0.0], 0.0)
-    assert np.array_equal(project(hs, [-1.0, 5.0]), [-1.0, 5.0])
-    assert np.allclose(project(hs, [2.0, 1.0]), [0.0, 1.0], atol=1e-15)
+    assert np.array_equal(hs.project([-1.0, 5.0]), [-1.0, 5.0])
+    assert np.allclose(hs.project([2.0, 1.0]), [0.0, 1.0], atol=1e-15)
     box = Box([0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(project(box, [2.0, -0.5]), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(box.project([2.0, -0.5]), [1.0, 0.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # distance examples
 
 def test_distance_examples():
-    assert distance(HalfSpace([1.0, 0.0], 0.0), [-1.0, 5.0]) == 0.0
+    assert HalfSpace([1.0, 0.0], 0.0).distance([-1.0, 5.0]) == 0.0
     x = np.array([1.0, 0.0])
-    d = distance(LINE_B, x)
+    d = LINE_B.distance(x)
     assert abs(d - 0.5) < 1e-12                       # ||x|| sin(pi/6)
-    assert abs(d - np.linalg.norm(x - project(LINE_B, x))) < 1e-12
-    assert abs(distance(Hyperplane([3.0, 4.0], 0.0), [3.0, 4.0]) - 5.0) < 1e-12
+    assert abs(d - np.linalg.norm(x - LINE_B.project(x))) < 1e-12
+    assert abs(Hyperplane([3.0, 4.0], 0.0).distance([3.0, 4.0]) - 5.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
