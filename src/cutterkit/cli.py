@@ -110,19 +110,6 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
     return EXIT_OK
 
 
-def _product_operators(cfg, method):
-    sets = cfg.sets
-    if method.t_spec is not None:
-        t = configio.operator_from_dict(method.t_spec, sets)
-    else:
-        t = relax(projection_operator(sets[0]), method.pair.lam)
-    if method.u_spec is not None:
-        u = configio.operator_from_dict(method.u_spec, sets)
-    else:
-        u = relax(projection_operator(sets[1]), method.pair.mu)
-    return t, u
-
-
 def _intersection_oracle(cfg):
     """Explicit intersection set if configured, else the affine
     intersection when both sets admit one."""
@@ -143,7 +130,6 @@ def _run_method(cfg, method, solution=None, max_iter=None,
         return run_map(a, b, cfg.x0, iters, residual_tol, solution)
     if method.driver == "dr":
         return run_dr(a, b, cfg.x0, iters, residual_tol, solution)
-    t, u = _product_operators(cfg, method)
     run_cfg = IterationConfig(
         pair=method.pair,
         x0=cfg.x0,
@@ -152,7 +138,7 @@ def _run_method(cfg, method, solution=None, max_iter=None,
         max_iter=iters,
         residual_tol=residual_tol,
     )
-    return iterate(t, u, run_cfg, solution=solution)
+    return iterate(method.t, method.u, run_cfg, solution=solution)
 
 
 def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
@@ -199,76 +185,72 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     return EXIT_OK
 
 
-def _verify_product(cfg, method, oracle, probe, reports):
-    a, b = cfg.sets[0], cfg.sets[1]
-    pair = method.pair
-    n = nu(pair)
-    t, u = _product_operators(cfg, method)
-    pa, pb = projection_operator(a), projection_operator(b)
-    prefix = method.name
+def _verify_method(cfg, method, oracle, w, probe):
+    """The probe reports of one method, in print order.
 
-    # membership samples for the single-operator checks
-    pts = diagnostics.sample_ball(probe)[:5]
-    fixed_a = a.project(pts)
-    fixed_b = b.project(pts)
-    w = oracle.project(cfg.x0) if oracle is not None else None
+    A product method first gets its operator probes and, given an
+    intersection oracle and w = its projection of x0, the product probes.
+    Every method with an oracle then gets the Fejer and per-step gap
+    probes on a run to residual 1e-10, and a product method the rate
+    certificate on that run.
+    """
+    reports = []
 
     def add(name, rep):
-        rep.name = f"{prefix}.{name}"
+        rep.name = f"{method.name}.{name}"
         reports.append(rep)
 
-    add("cutter.PA", diagnostics.cutter_check(pa, fixed_a, probe))
-    add("cutter.PB", diagnostics.cutter_check(pb, fixed_b, probe))
-    add("relaxed-cutter.T",
-        diagnostics.relaxed_cutter_check(t, pair.lam, fixed_a, probe))
-    add("relaxed-cutter.U",
-        diagnostics.relaxed_cutter_check(u, pair.mu, fixed_b, probe))
-    add("demicontraction.T",
-        diagnostics.demicontraction_check(
-            t, demicontraction_rho(pair.lam), fixed_a, probe))
-    add("demicontraction.U",
-        diagnostics.demicontraction_check(
-            u, demicontraction_rho(pair.mu), fixed_b, probe))
+    a, b = cfg.sets[0], cfg.sets[1]
+    if method.driver == "map":
+        # alternating projections = the product method with lam = mu = 1
+        # and alpha = nu, which [eps, 2 - eps] holds up to eps = 2 - nu
+        n = nu(RelaxationPair(1.0, 1.0))
+        epsilon = 2.0 - n
+    elif method.driver == "dr":  # (P_B)_2 (P_A)_2 is a 2-relaxed cutter
+        n, epsilon = 2.0, 1.0
+    else:
+        pair, t, u = method.pair, method.t, method.u
+        n, epsilon = nu(pair), method.epsilon
+        # membership samples for the single-operator checks
+        pts = diagnostics.sample_ball(probe)[:5]
+        fixed_a, fixed_b = a.project(pts), b.project(pts)
+        add("cutter.PA", diagnostics.cutter_check(
+            projection_operator(a), fixed_a, probe))
+        add("cutter.PB", diagnostics.cutter_check(
+            projection_operator(b), fixed_b, probe))
+        add("relaxed-cutter.T",
+            diagnostics.relaxed_cutter_check(t, pair.lam, fixed_a, probe))
+        add("relaxed-cutter.U",
+            diagnostics.relaxed_cutter_check(u, pair.mu, fixed_b, probe))
+        add("demicontraction.T",
+            diagnostics.demicontraction_check(
+                t, demicontraction_rho(pair.lam), fixed_a, probe))
+        add("demicontraction.U",
+            diagnostics.demicontraction_check(
+                u, demicontraction_rho(pair.mu), fixed_b, probe))
+        if w is not None:
+            add("product.cutter", diagnostics.cutter_check(
+                relax(compose(u, t), 1.0 / n), [w], probe))
+            add("lb1", diagnostics.lb1_check(t, u, pair, [w], probe))
+            add("lb2", diagnostics.lb2_check(t, u, pair, oracle, probe))
 
     if w is None:
-        reports.append(diagnostics.RegularityReport(
-            name=f"{prefix}.product", passed=True, margin=math.inf, samples=0,
-            skipped=True, note="no intersection oracle"))
-        return
-    add("product.cutter",
-        diagnostics.cutter_check(relax(compose(u, t), 1.0 / n), [w], probe))
-    add("lb1", diagnostics.lb1_check(t, u, pair, [w], probe))
-    add("lb2", diagnostics.lb2_check(t, u, pair, oracle, probe))
-
-    trace = _converged_probes(cfg, method, w, oracle, n, method.epsilon, reports)
-    kappa = diagnostics.pair_regularity_estimate(a, b, oracle, probe)
-    delta = delta_projections(pair, kappa)
-    rate_rep = diagnostics.rate_certificate(
-        trace, trace.final, method.epsilon, delta, n)
-    rate_rep.kappa_hat = kappa
-    add("rate", rate_rep)
-
-
-def _converged_probes(cfg, method, w, oracle, nu_value, epsilon, reports):
-    """Fejer and per-step gap probes on a run to residual 1e-10; returns
-    the run's trace."""
+        add("product" if method.driver == "product" else "fejer",
+            diagnostics.RegularityReport(
+                name="", passed=True, margin=math.inf, samples=0,
+                skipped=True, note="no intersection oracle"))
+        return reports
     trace = _run_method(cfg, method, max_iter=max(cfg.iterations, 2000),
                         residual_tol=1e-10)
-    for rep in (diagnostics.fejer_check(trace, w, intersection_distance=oracle),
-                diagnostics.dc_gap_check(trace, w, nu_value, epsilon)):
-        rep.name = f"{method.name}.{rep.name}"
-        reports.append(rep)
-    return trace
-
-
-def _verify_baseline(cfg, method, oracle, nu_value, epsilon, reports):
-    w = oracle.project(cfg.x0) if oracle is not None else None
-    if w is None:
-        reports.append(diagnostics.RegularityReport(
-            name=f"{method.name}.fejer", passed=True, margin=math.inf,
-            samples=0, skipped=True, note="no intersection oracle"))
-        return
-    _converged_probes(cfg, method, w, oracle, nu_value, epsilon, reports)
+    add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle))
+    add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon))
+    if method.driver == "product":
+        kappa = diagnostics.pair_regularity_estimate(a, b, oracle, probe)
+        rate_rep = diagnostics.rate_certificate(
+            trace, trace.final, epsilon, delta_projections(method.pair, kappa), n)
+        rate_rep.kappa_hat = kappa
+        add("rate", rate_rep)
+    return reports
 
 
 def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
@@ -278,9 +260,9 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     if iters is not None:
         cfg.iterations = iters
     oracle = _intersection_oracle(cfg)
-    center = oracle.project(cfg.x0) if oracle is not None else cfg.x0
+    w = oracle.project(cfg.x0) if oracle is not None else None
     probe = diagnostics.ProbeConfig(
-        center=center,
+        center=cfg.x0 if w is None else w,
         radius=cfg.probe_radius,
         sample_count=cfg.probe_samples,
         seed=cfg.seed,
@@ -288,17 +270,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     )
     reports = []
     for method in cfg.methods:
-        if method.driver == "product":
-            _verify_product(cfg, method, oracle, probe, reports)
-        elif method.driver == "map":
-            # alternating projections = the product method with lam = mu = 1
-            # and alpha = nu, which [eps, 2 - eps] holds up to eps = 2 - nu
-            n_map = nu(RelaxationPair(1.0, 1.0))
-            _verify_baseline(cfg, method, oracle, nu_value=n_map,
-                             epsilon=2.0 - n_map, reports=reports)
-        else:  # dr: (P_B)_2 (P_A)_2 is a 2-relaxed cutter
-            _verify_baseline(cfg, method, oracle, nu_value=2.0,
-                             epsilon=1.0, reports=reports)
+        reports += _verify_method(cfg, method, oracle, w, probe)
 
     lines = [rep.line() for rep in reports]
     report_path = cfg.outputs.get("report")

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -57,22 +58,25 @@ from .theory import RelaxationPair
 
 def set_from_dict(obj) -> ConvexSet:
     """Build a ConvexSet from its config dictionary."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError(f"set spec must be an object with a 'type' field: {obj!r}")
-    kind = obj["type"]
-    try:
-        if kind == "hyperplane":
-            return Hyperplane(obj["normal"], obj["offset"])
-        if kind == "halfspace":
-            return HalfSpace(obj["normal"], obj["offset"])
-        if kind == "affine":
-            return AffineSubspace(obj["anchor"], obj.get("basis", ()))
-        if kind == "ball":
-            return Ball(obj["center"], obj["radius"])
-        if kind == "box":
-            return Box(obj["lo"], obj["hi"])
-    except KeyError as exc:
-        raise ConfigError(f"set spec of type {kind!r} lacks field {exc}") from None
+    kind = _field(obj, "type", "set spec", None)
+    where = f"{kind!r} set"
+
+    def get(key, convert=_VECTOR):
+        return _field(obj, key, where, convert)
+
+    if kind == "hyperplane":
+        return Hyperplane(get("normal"), get("offset", float))
+    if kind == "halfspace":
+        return HalfSpace(get("normal"), get("offset", float))
+    if kind == "affine":
+        basis = _field(obj, "basis", where, _VECTOR, ())
+        if basis.size and basis.ndim != 2:
+            raise ConfigError(f"{where}: basis must be a list of vectors")
+        return AffineSubspace(get("anchor"), basis)
+    if kind == "ball":
+        return Ball(get("center"), get("radius", float))
+    if kind == "box":
+        return Box(get("lo"), get("hi"))
     raise ConfigError(f"unknown set type {kind!r}")
 
 
@@ -96,24 +100,24 @@ def set_to_dict(cset: ConvexSet) -> dict:
 
 def operator_from_dict(obj, sets) -> Operator:
     """Build an operator from a projection/relax/compose tree."""
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ConfigError(f"operator spec must be an object with an 'op' field: {obj!r}")
-    op = obj["op"]
+    op = _field(obj, "op", "operator spec", None)
+    where = f"operator spec {op!r}"
     try:
         if op == "projection":
-            return projection_operator(sets[int(obj["set"])])
+            index = _field(obj, "set", where, int)
+            if not 0 <= index < len(sets):
+                raise ConfigError(f"{where} references unknown set index {index}")
+            return projection_operator(sets[index])
         if op == "relax":
-            return relax(operator_from_dict(obj["of"], sets), float(obj["lambda"]))
+            return relax(operator_from_dict(obj["of"], sets),
+                         _field(obj, "lambda", where))
         if op == "compose":
             return compose(operator_from_dict(obj["outer"], sets),
                            operator_from_dict(obj["inner"], sets))
         if op == "identity":
             return identity()
     except KeyError as exc:
-        raise ConfigError(f"operator spec {op!r} lacks field {exc}") from None
-    except IndexError:
-        raise ConfigError(f"operator spec references unknown set index "
-                          f"{obj.get('set')}") from None
+        raise ConfigError(f"{where} lacks field {exc}") from None
     raise ConfigError(f"unknown operator spec {op!r}")
 
 
@@ -124,8 +128,8 @@ class MethodSpec:
     pair: RelaxationPair | None = None  # product methods only
     alpha: object = 1.0               # a float or a list of floats
     epsilon: float | None = None
-    t_spec: dict | None = None
-    u_spec: dict | None = None
+    t: Operator | None = None         # T and U of a product method
+    u: Operator | None = None
 
 
 @dataclass
@@ -141,28 +145,44 @@ class ExperimentConfig:
     probe_samples: int = 2000
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+_VECTOR = partial(np.asarray, dtype=float)
+_KINDS = {float: "a number", int: "an integer"}
+
+
+def _field(obj, key: str, where: str, convert=float, default=None):
+    """convert(obj[key]), or convert(default) when obj lacks key and a
+    default is given (convert None: the value as it is).  A non-object
+    obj, a missing key or a value convert rejects is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    if key not in obj and default is None:
         raise ConfigError(f"missing field {key!r} in {where}")
-    return obj[key]
-
-
-def _number(value, where: str, key: str) -> float:
+    value = obj.get(key, default)
+    if convert is None:
+        return value
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}") from None
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        what = _KINDS.get(convert, "a number or a list of numbers")
+        raise ConfigError(f"{where}: {key} must be {what}, got {value!r}") from None
 
 
 def _method_name(m: dict, where: str, seen: set) -> str:
     """A method name is a CSV file stem: no path parts, no duplicates."""
-    name = str(_require(m, "name", where))
+    name = _field(m, "name", where, str)
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"{where}: method name {name!r} is not a plain file name")
     if name in seen:
         raise ConfigError(f"{where}: duplicate method name {name!r}")
     seen.add(name)
     return name
+
+
+def _operator(spec, cset: ConvexSet, lam: float, sets) -> Operator:
+    """A product factor: its explicit spec, else lam-relaxed P_cset."""
+    if spec is not None:
+        return operator_from_dict(spec, sets)
+    return relax(projection_operator(cset), lam)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -175,26 +195,26 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    problem = _require(doc, "problem", "config")
-    raw_sets = _require(problem, "sets", "problem")
+    problem = _field(doc, "problem", "config", None)
+    raw_sets = _field(problem, "sets", "problem", None)
     if not isinstance(raw_sets, list) or len(raw_sets) < 2:
         raise UsageError("problem.sets must list at least two sets")
     sets = [set_from_dict(s) for s in raw_sets]
-    x0 = as_point(_require(doc, "x0", "config"))
+    x0 = as_point(_field(doc, "x0", "config", _VECTOR))
     for i, s in enumerate(sets):
         if s.dim != x0.size:
             raise UsageError(
                 f"dimension mismatch: sets[{i}] is {s.dim}-dimensional, "
                 f"x0 has {x0.size} coordinates"
             )
-    iterations = int(_require(doc, "iterations", "config"))
+    iterations = _field(doc, "iterations", "config", int)
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
     intersection = None
     if problem.get("intersection") is not None:
         intersection = set_from_dict(problem["intersection"])
 
-    raw_methods = _require(doc, "methods", "config")
+    raw_methods = _field(doc, "methods", "config", None)
     if not isinstance(raw_methods, list):
         raise ConfigError("methods must be a list")
     if not raw_methods:
@@ -204,37 +224,36 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for i, m in enumerate(raw_methods):
         where = f"methods[{i}]"
         name = _method_name(m, where, seen)
-        driver = str(_require(m, "driver", where))
+        driver = _field(m, "driver", where, str)
         if driver not in ("map", "dr", "product"):
             raise ConfigError(f"{where}: unknown driver {driver!r}")
         spec = MethodSpec(name=name, driver=driver)
         if driver == "product":
-            lam = _number(_require(m, "lambda", where), where, "lambda")
-            mu = _number(_require(m, "mu", where), where, "mu")
             try:
-                spec.pair = RelaxationPair(lam, mu)
+                spec.pair = RelaxationPair(_field(m, "lambda", where),
+                                           _field(m, "mu", where))
             except UsageError as exc:
                 raise UsageError(f"{where}: {exc}") from None
-            alpha = m.get("alpha", 1.0)
-            if isinstance(alpha, list):
-                if not alpha:
-                    raise ConfigError(f"{where}: alpha list is empty")
-                spec.alpha = [_number(a, where, "alpha") for a in alpha]
-            else:
-                spec.alpha = _number(alpha, where, "alpha")
-            eps = m.get("epsilon")
-            if eps is None:
+            alpha = _field(m, "alpha", where, _VECTOR, 1.0)
+            if alpha.ndim > 1 or alpha.size == 0 or not np.all(np.isfinite(alpha)):
+                raise ConfigError(f"{where}: alpha must be a finite number or "
+                                  f"a non-empty list of them, got {m['alpha']!r}")
+            spec.alpha = alpha.tolist() if alpha.ndim else float(alpha)
+            if m.get("epsilon") is None:
                 # widest admissible window around the configured steps
-                avals = np.atleast_1d(spec.alpha)
-                eps = min(float(avals.min()), 2.0 - float(avals.max()))
-            spec.epsilon = _number(eps, where, "epsilon")
-            spec.t_spec = m.get("T")
-            spec.u_spec = m.get("U")
+                spec.epsilon = min(float(alpha.min()), 2.0 - float(alpha.max()))
+            else:
+                spec.epsilon = _field(m, "epsilon", where)
+            spec.t = _operator(m.get("T"), sets[0], spec.pair.lam, sets)
+            spec.u = _operator(m.get("U"), sets[1], spec.pair.mu, sets)
         methods.append(spec)
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be an object")
+    for key in ("csv", "svg", "report"):
+        if not isinstance(outputs.get(key, ""), str):
+            raise ConfigError(f"outputs: {key} must be a path, got {outputs[key]!r}")
     probe = doc.get("probe", {})
     return ExperimentConfig(
         sets=sets,
@@ -243,9 +262,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         methods=methods,
         intersection=intersection,
         outputs=outputs,
-        seed=int(doc.get("seed", 0)),
-        probe_radius=float(probe.get("radius", 2.0)),
-        probe_samples=int(probe.get("samples", 2000)),
+        seed=_field(doc, "seed", "config", int, 0),
+        probe_radius=_field(probe, "radius", "probe", float, 2.0),
+        probe_samples=_field(probe, "samples", "probe", int, 2000),
     )
 
 

@@ -20,39 +20,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Trace
-from .errors import EstimationError, UsageError
+from .errors import CutterKitError, EstimationError, UsageError
 from .geometry import as_point
 from .operators import Operator
-from .theory import RelaxationPair, alpha_beta, nu, qlinear_rate
+from .theory import RelaxationPair, alpha_beta, nu, qlinear_rate, split_roots
 
 MAX_RECORDED_VIOLATIONS = 20
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Sampling region, budget and tolerance of one probe.
-
-    big_radius defaults to radius; for a lam-relaxed first factor the
-    prescribed enlargement is max{r, (lam - 1) r} (see big_radius()).
-    """
+    """Sampling region, budget and tolerance of one probe."""
 
     center: np.ndarray
     radius: float
-    big_radius: float | None = None
     sample_count: int = 1000
     seed: int = 0
     tolerance: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
-        if not self.radius > 0:
-            raise UsageError(f"probe radius must be positive, got {self.radius}")
-        if self.big_radius is None:
-            object.__setattr__(self, "big_radius", float(self.radius))
-        if self.big_radius < self.radius:
-            raise UsageError("big_radius must be >= radius")
+        if not 0 < self.radius < math.inf:
+            raise UsageError(f"probe radius must be positive and finite, "
+                             f"got {self.radius}")
         if int(self.sample_count) < 1:
             raise UsageError("sample_count must be >= 1")
+        if int(self.seed) < 0:
+            raise UsageError(f"probe seed must be >= 0, got {self.seed}")
         if not self.tolerance > 0:
             raise UsageError("tolerance must be positive")
 
@@ -100,15 +94,22 @@ class RegularityReport:
 
 
 def _eval_batch(op: Operator, x: np.ndarray) -> np.ndarray:
-    """Evaluate an operator on an (n, d) batch, falling back to row-wise
-    evaluation for operators that only take single points."""
+    """Evaluate an operator on an (n, d) batch.
+
+    Every Operator maps an (n, d) batch to an (n, d) batch row by row; one
+    that fails on a batch or returns another shape breaks that contract.
+    """
     try:
         out = np.asarray(op(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(op(row), dtype=float) for row in x])
+    except CutterKitError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"operator {op.label} cannot evaluate an (n, d) "
+                         f"batch: {exc}") from exc
+    if out.shape != x.shape:
+        raise UsageError(f"operator {op.label} maps a batch of shape "
+                         f"{x.shape} to shape {out.shape}")
+    return out
 
 
 def _report(name, margins, points, tolerance, seed=None, **extra) -> RegularityReport:
@@ -129,30 +130,41 @@ def _report(name, margins, points, tolerance, seed=None, **extra) -> RegularityR
     )
 
 
-def _validate_fixed(op: Operator, fixed_sample, probe: ProbeConfig) -> np.ndarray:
+def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
+                       margins) -> RegularityReport:
+    """Check that every z in fixed_sample is fixed by every operator in
+    ops = (T1, ..., Tk), sample x from the ball, and report the minimum
+    over z of the rows margins(zs, x, T1(x), ..., Tk(...T1(x))) returns,
+    one row per z.
+    """
     zs = np.atleast_2d(np.asarray(fixed_sample, dtype=float))
     if zs.size == 0:
         raise UsageError("fixed_sample must contain at least one point")
-    moved = np.linalg.norm(_eval_batch(op, zs) - zs, axis=1)
-    if np.any(moved > probe.tolerance):
-        worst = float(moved.max())
-        raise UsageError(
-            f"fixed_sample contains non-fixed points of {op.label}: "
-            f"max ||T(z) - z|| = {worst:.3e}"
-        )
-    return zs
+    for op in ops:
+        moved = np.linalg.norm(_eval_batch(op, zs) - zs, axis=1)
+        if np.any(moved > probe.tolerance):
+            raise UsageError(
+                f"fixed_sample contains non-fixed points of {op.label}: "
+                f"max ||T(z) - z|| = {float(moved.max()):.3e}"
+            )
+    images = [sample_ball(probe)]
+    for op in ops:
+        images.append(_eval_batch(op, images[-1]))
+    return _report(name, np.min(margins(zs, *images), axis=0), images[0],
+                   probe.tolerance, probe.seed)
+
+
+def _dot(a, b):
+    return np.einsum("nd,nd->n", a, b)
 
 
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
     """Certify <z - T(x), x - T(x)> <= 0 over sampled x and supplied z."""
-    zs = _validate_fixed(t, fixed_sample, probe)
-    x = sample_ball(probe)
-    tx = _eval_batch(t, x)
-    xtx = x - tx
-    margins = np.min(
-        [-np.einsum("nd,nd->n", z - tx, xtx) for z in zs], axis=0
-    )
-    return _report("cutter", margins, x, probe.tolerance, probe.seed)
+    def margins(zs, x, tx):
+        xtx = x - tx
+        return [-_dot(z - tx, xtx) for z in zs]
+
+    return _fixed_point_probe("cutter", (t,), fixed_sample, probe, margins)
 
 
 def relaxed_cutter_check(t: Operator, lam: float, fixed_sample,
@@ -160,14 +172,13 @@ def relaxed_cutter_check(t: Operator, lam: float, fixed_sample,
     """Certify lam <z - x, T(x) - x> >= ||T(x) - x||^2 over samples."""
     if not lam > 0:
         raise UsageError(f"lambda must be positive, got {lam}")
-    zs = _validate_fixed(t, fixed_sample, probe)
-    x = sample_ball(probe)
-    a = _eval_batch(t, x) - x
-    aa = np.einsum("nd,nd->n", a, a)
-    margins = np.min(
-        [lam * np.einsum("nd,nd->n", z - x, a) - aa for z in zs], axis=0
-    )
-    return _report("relaxed-cutter", margins, x, probe.tolerance, probe.seed)
+
+    def margins(zs, x, tx):
+        a = tx - x
+        aa = _dot(a, a)
+        return [lam * _dot(z - x, a) - aa for z in zs]
+
+    return _fixed_point_probe("relaxed-cutter", (t,), fixed_sample, probe, margins)
 
 
 def demicontraction_check(t: Operator, rho: float, fixed_sample,
@@ -175,20 +186,12 @@ def demicontraction_check(t: Operator, rho: float, fixed_sample,
     """Certify ||T(x) - z||^2 <= ||x - z||^2 + rho ||T(x) - x||^2."""
     if not rho < 1:
         raise UsageError(f"demicontraction constant must be < 1, got {rho}")
-    zs = _validate_fixed(t, fixed_sample, probe)
-    x = sample_ball(probe)
-    tx = _eval_batch(t, x)
-    a = tx - x
-    aa = np.einsum("nd,nd->n", a, a)
-    margins = np.min(
-        [
-            np.einsum("nd,nd->n", x - z, x - z) + rho * aa
-            - np.einsum("nd,nd->n", tx - z, tx - z)
-            for z in zs
-        ],
-        axis=0,
-    )
-    return _report("demicontraction", margins, x, probe.tolerance, probe.seed)
+
+    def margins(zs, x, tx):
+        aa = _dot(tx - x, tx - x)
+        return [_dot(x - z, x - z) + rho * aa - _dot(tx - z, tx - z) for z in zs]
+
+    return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe, margins)
 
 
 def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
@@ -197,25 +200,16 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     <z - x, UT(x) - x> >= ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2
     with s1 = sqrt(1/lam - 1/nu), s2 = sqrt(1/mu - 1/nu), sign "+" when
     max{lam, mu} >= 2 and "-" otherwise."""
-    n = nu(pair)
-    s1 = math.sqrt(max(1.0 / pair.lam - 1.0 / n, 0.0))
-    s2 = math.sqrt(max(1.0 / pair.mu - 1.0 / n, 0.0))
+    s1, s2 = split_roots(pair)
     sign = 1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0
-    zs = np.atleast_2d(np.asarray(fixed_sample, dtype=float))
-    _validate_fixed(t, zs, probe)
-    _validate_fixed(u, zs, probe)
-    x = sample_ball(probe)
-    tx = _eval_batch(t, x)
-    utx = _eval_batch(u, tx)
-    a = tx - x
-    b = utx - tx
-    c = utx - x
-    comb = s1 * a + sign * s2 * b
-    rhs = np.einsum("nd,nd->n", comb, comb)
-    margins = np.min(
-        [np.einsum("nd,nd->n", z - x, c) - rhs for z in zs], axis=0
-    )
-    return _report("lb1", margins, x, probe.tolerance, probe.seed)
+
+    def margins(zs, x, tx, utx):
+        c = utx - x
+        comb = s1 * (tx - x) + sign * s2 * (utx - tx)
+        rhs = _dot(comb, comb)
+        return [_dot(z - x, c) - rhs for z in zs]
+
+    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, margins)
 
 
 def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
@@ -250,9 +244,7 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     a = tx - x
     b = utx - tx
     c = utx - x
-    biggest = np.maximum(
-        np.einsum("nd,nd->n", a, a), np.einsum("nd,nd->n", b, b)
-    )
+    biggest = np.maximum(_dot(a, a), _dot(b, b))
     margins = np.linalg.norm(c, axis=1) - coef * biggest / d
     return _report("lb2", margins, x, probe.tolerance, probe.seed)
 

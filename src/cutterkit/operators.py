@@ -2,8 +2,9 @@
 relaxations, products, and the generalized Douglas-Rachford operator.
 
 Operators are immutable closures over immutable data.  Evaluation accepts
-a single point ``(d,)``; operators built here also accept batches
-``(n, d)`` row-wise, which the diagnostics probes rely on for speed.
+a single point ``(d,)`` or a batch ``(n, d)``, mapped row by row to an
+``(n, d)`` result; every constructor here meets that contract, and the
+diagnostics probes evaluate operators only on batches.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .geometry import ConvexSet, as_point
 
 class Operator:
     """An evaluatable self-map of R^d.
+
+    fn maps a point (d,) to (d,) and a batch (n, d) to (n, d) row by row;
+    wrap a function f of one point as subgradient_projection does, or as
+    lambda x: np.apply_along_axis(f, -1, x).
 
     fix_distance, when present, maps a point to its distance to the fixed
     set of the operator.  dim is optional and used for compatibility

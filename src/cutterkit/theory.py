@@ -37,18 +37,21 @@ def nu(pair: RelaxationPair) -> float:
     return 4.0 * (pair.lam + pair.mu - pair.lam * pair.mu) / (4.0 - pair.lam * pair.mu)
 
 
+def split_roots(pair: RelaxationPair) -> tuple[float, float]:
+    """(sqrt(1/lam - 1/nu), sqrt(1/mu - 1/nu)); the radicands are >= 0 in
+    exact arithmetic (nu >= max{lam, mu}) and rounding below 0 is clipped."""
+    n = nu(pair)
+    return (math.sqrt(max(1.0 / pair.lam - 1.0 / n, 0.0)),
+            math.sqrt(max(1.0 / pair.mu - 1.0 / n, 0.0)))
+
+
 def alpha_beta(pair: RelaxationPair) -> tuple[float, float]:
-    """(alpha, beta) built from the radicands 1/lam - 1/nu and 1/mu - 1/nu.
+    """(alpha, beta) built from the split roots.
 
     alpha = sqrt(1/lam - 1/nu) - sqrt(1/mu - 1/nu) vanishes exactly when
     lam == mu; beta is the larger of the two roots and is always positive.
-    Radicands are non-negative in exact arithmetic (nu >= max{lam, mu});
-    tiny negative rounding is clipped.
     """
-    n = nu(pair)
-    ra = max(1.0 / pair.lam - 1.0 / n, 0.0)
-    rb = max(1.0 / pair.mu - 1.0 / n, 0.0)
-    sa, sb = math.sqrt(ra), math.sqrt(rb)
+    sa, sb = split_roots(pair)
     return sa - sb, max(sa, sb)
 
 
@@ -62,19 +65,21 @@ def delta_product(delta1: float, delta2: float, kappa: float, pair: RelaxationPa
     for name, d in (("delta1", delta1), ("delta2", delta2)):
         if not (0.0 < d <= 1.0):
             raise UsageError(f"{name} must lie in (0, 1], got {d}")
-    if not kappa > 0:
-        raise UsageError(f"kappa must be positive, got {kappa}")
-    a, b = alpha_beta(pair)
-    return (abs(a) * min(delta1, delta2) / (2.0 * kappa * (1.0 + b * math.sqrt(nu(pair))))) ** 2
+    return _modulus(min(delta1, delta2), kappa, pair)
 
 
 def delta_projections(pair: RelaxationPair, kappa: float) -> float:
     """Modulus specialization for relaxed projections: min{lam, mu} replaces
     min{delta1, delta2} in delta_product."""
+    return _modulus(min(pair.lam, pair.mu), kappa, pair)
+
+
+def _modulus(m: float, kappa: float, pair: RelaxationPair) -> float:
+    """(|alpha| m / (2 kappa (1 + beta sqrt(nu))))^2."""
     if not kappa > 0:
         raise UsageError(f"kappa must be positive, got {kappa}")
     a, b = alpha_beta(pair)
-    return (abs(a) * min(pair.lam, pair.mu) / (2.0 * kappa * (1.0 + b * math.sqrt(nu(pair))))) ** 2
+    return (abs(a) * m / (2.0 * kappa * (1.0 + b * math.sqrt(nu(pair))))) ** 2
 
 
 def rho_overrelax(pair: RelaxationPair) -> float:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cutterkit.cli import main, paper_traces
 from cutterkit.configio import read_trace_csv
@@ -149,6 +153,103 @@ def test_run_rejects_bad_methods_without_writing(tmp_path, methods):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def _set_field(doc, path, value):
+    """Replace doc[path[0]][path[1]]... by value."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+SET_0 = ("problem", "sets", 0)
+RELAX_T = {"op": "relax", "lambda": 3, "of": {"op": "projection", "set": 0}}
+MALFORMED = {  # id: (path, value, the field the message names)
+    "iterations-overflow": (("iterations",), 1e400, "iterations"),
+    "string-seed": (("seed",), "abc", "seed"),
+    "string-normal-entry": (SET_0 + ("normal",), ["a", 1], "normal"),
+    "string-offset": (SET_0 + ("offset",), "x", "offset"),
+    "string-radius": (("problem", "sets", 1),
+                      {"type": "ball", "center": [0, 0], "radius": "big"},
+                      "radius"),
+    "string-x0-entry": (("x0",), ["a", 0], "x0"),
+    "non-object-probe": (("probe",), 3, "probe"),
+    "string-probe-samples": (("probe",), {"samples": "many"}, "samples"),
+    "non-object-method": (("methods", 1), 3, "methods[1]"),
+    "string-T-set": (("methods", 2, "T"),
+                     dict(RELAX_T, of={"op": "projection", "set": "zero"}),
+                     "set"),
+    "string-relax-lambda": (("methods", 2, "T"), dict(RELAX_T, **{"lambda": "3x"}),
+                            "lambda"),
+    "non-string-csv": (("outputs", "csv"), 3, "csv"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("path, value, field", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_field_is_a_config_error(tmp_path, capsys, command, path,
+                                           value, field):
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg)
+    _set_field(doc, path, value)
+    cfg.write_text(json.dumps(doc))
+    assert main([command, str(cfg)]) == 2
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Paper-config fields an arbitrary JSON value may replace.
+FIELDS = [
+    ("seed",), ("problem",), ("problem", "sets"), SET_0, SET_0 + ("type",),
+    SET_0 + ("normal",), ("problem", "sets", 1, "offset"),
+    ("problem", "intersection"), ("x0",), ("x0", 0), ("iterations",),
+    ("methods",), ("methods", 0), ("methods", 1, "name"), ("methods", 2),
+    ("methods", 2, "driver"), ("methods", 2, "lambda"), ("methods", 2, "mu"),
+    ("methods", 2, "alpha"), ("methods", 2, "epsilon"), ("methods", 2, "T"),
+    ("methods", 2, "U"), ("outputs",), ("outputs", "csv"), ("outputs", "svg"),
+    ("outputs", "report"), ("probe",), ("probe", "radius"),
+    ("probe", "samples"),
+]
+# Only small numbers, so that no draw asks for a long run; keys the
+# config uses, so that drawn objects reach past the type checks; no "."
+# or "/" in strings, so that a drawn path stays inside the work directory.
+NUMBERS = st.sampled_from([-1, 0, 0.5, 3, 1e400])
+KEYS = st.sampled_from(["type", "normal", "offset", "center", "radius", "op",
+                        "set", "of", "lambda", "name", "driver", "samples"])
+TEXT = st.text(alphabet="ab01", max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS | TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(FIELDS), value=JSON_VALUES)
+def test_any_field_value_ends_in_a_documented_exit_code(tmp_path, path, value):
+    # each example works in a fresh directory below tmp_path, which is
+    # also where run writes its CSVs when outputs.csv is gone
+    work = tempfile.mkdtemp(dir=tmp_path)
+    cfg = os.path.join(work, "cfg.json")
+    doc = write_config(tmp_path / "base.json", probe={"samples": 200},
+                       outputs={"csv": os.path.join(work, "out"),
+                                "svg": os.path.join(work, "svg"),
+                                "report": os.path.join(work, "report.txt")})
+    _set_field(doc, path, value)
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    around = sorted(tmp_path.parent.iterdir())
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for command in ("run", "verify"):
+            assert main([command, cfg]) in (0, 2, 3, 4, 5)
+    finally:
+        os.chdir(cwd)
+    assert sorted(tmp_path.parent.iterdir()) == around
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -205,3 +306,30 @@ def test_verify_baselines_stop_at_residual_tol(tmp_path, capsys):
     # 2 * steps + 1 samples: MAP stops after 77 steps, DR after 162
     assert re.search(r"^PROBE map\.fejer PASS .* samples=155 ", out, re.M)
     assert re.search(r"^PROBE dr\.fejer PASS .* samples=325 ", out, re.M)
+
+
+PRODUCT_PROBES = ["cutter.PA", "cutter.PB", "relaxed-cutter.T",
+                  "relaxed-cutter.U", "demicontraction.T", "demicontraction.U"]
+BALL_AND_BOX = {"sets": [{"type": "ball", "center": [0, 0], "radius": 1},
+                         {"type": "box", "lo": [0.5, -1], "hi": [2, 1]}]}
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, [("map.fejer", "PASS"), ("map.fejer-dc", "PASS"),
+          ("dr.fejer", "PASS"), ("dr.fejer-dc", "PASS")]
+     + [(f"new.{p}", "PASS") for p in PRODUCT_PROBES + [
+         "product.cutter", "lb1", "lb2", "fejer", "fejer-dc", "rate"]]),
+    # no intersection oracle: the run-based probes are skipped
+    ({"problem": BALL_AND_BOX,
+      "methods": [{"name": "map", "driver": "map"},
+                  {"name": "dr", "driver": "dr"},
+                  dict(PRODUCT, name="p", alpha=1.0)]},
+     [("map.fejer", "SKIP"), ("dr.fejer", "SKIP")]
+     + [(f"p.{p}", "PASS") for p in PRODUCT_PROBES] + [("p.product", "SKIP")]),
+], ids=["paper", "no-oracle"])
+def test_verify_probe_lines_in_order(tmp_path, capsys, overrides, expected):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    assert main(["verify", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(ln.split()[1:3]) for ln in lines] == expected

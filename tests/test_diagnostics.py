@@ -6,7 +6,7 @@ import pytest
 from _helpers import (random_halfspace_pair, random_hyperplane_pair,
                       random_valid_pair, wedge_projection)
 from cutterkit import (EstimationError, Hyperplane,
-                       IterationConfig, ProbeConfig, RelaxationPair, Trace,
+                       IterationConfig, Operator, ProbeConfig, RelaxationPair, Trace,
                        UsageError, alpha_beta, big_radius, compose,
                        cutter_check, dc_gap_check, demicontraction_check,
                        fejer_check, identity, intersect_affine, iterate,
@@ -46,9 +46,6 @@ def grid_kappa(a, b, inter, n=200001):
 def test_probe_config_validation():
     with pytest.raises(UsageError):
         ProbeConfig(center=ORIGIN, radius=0.0)
-    with pytest.raises(UsageError):
-        ProbeConfig(center=ORIGIN, radius=2.0, big_radius=1.0)
-    assert ProbeConfig(center=ORIGIN, radius=2.0).big_radius == 2.0
     assert big_radius(2.0, 3.0) == 4.0
     assert big_radius(2.0, 0.5) == 2.0
 
@@ -82,6 +79,24 @@ def test_cutter_check_projection_passes():
 def test_cutter_check_rejects_bad_fixed_sample():
     with pytest.raises(UsageError):
         cutter_check(projection_operator(LINE_A), [[0.0, 1.0]], PROBE)
+
+
+def test_single_point_operator_is_rejected_by_name():
+    # float() takes one point only, so the operator breaks the batch
+    # contract the probes evaluate it under
+    n = LINE_A.normal
+    op = Operator(lambda x: x - float(x @ n) * n, label="one-point")
+    t, u = new_method_ops()
+    with pytest.raises(UsageError, match="one-point"):
+        cutter_check(op, [ORIGIN], PROBE)
+    with pytest.raises(UsageError, match="one-point"):
+        lb1_check(t, op, RelaxationPair(3.0, 1.0), [ORIGIN], PROBE)
+
+
+def test_wrong_batch_shape_is_rejected_by_name():
+    op = Operator(lambda x: x[..., :1], label="truncating")
+    with pytest.raises(UsageError, match="truncating"):
+        relaxed_cutter_check(op, 1.0, [ORIGIN], PROBE)
 
 
 def test_cutter_check_catches_over_relaxation():

@@ -51,9 +51,12 @@ def test_empty_trace_list_is_usage_error(tmp_path):
 def test_non_2d_traces_are_skipped_with_warning(tmp_path):
     tr3 = Trace(iterates=np.zeros((4, 3)), residuals=[0.0] * 3,
                 step_sizes=[1.0] * 3)
-    with pytest.warns(UserWarning, match="skipped"):
+    with pytest.warns(UserWarning) as record:
         out = emit_svg([tr3], str(tmp_path / "skip.svg"), kind="trajectory")
     assert out is None
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2 and "skipped" in messages[0]
+    assert messages[1] == "nothing to plot; no SVG written"
     with pytest.warns(UserWarning):
         out = emit_svg([tr3, two_d_trace()], str(tmp_path / "mix.svg"),
                        kind="trajectory")
