@@ -5,12 +5,11 @@ regularity and rate constants, and a diagnostics suite that empirically
 certifies the inequalities behind them.
 """
 
-from .diagnostics import (ProbeConfig, RegularityReport, big_radius,
-                          cutter_check, dc_gap_check, demicontraction_check,
-                          fejer_check, lb1_check, lb2_check,
-                          pair_regularity_estimate, rate_certificate,
-                          regularity_modulus_estimate, relaxed_cutter_check,
-                          sample_ball)
+from .diagnostics import (ProbeConfig, RegularityReport, cutter_check,
+                          dc_gap_check, demicontraction_check, fejer_check,
+                          lb1_check, lb2_check, pair_regularity_estimate,
+                          rate_certificate, regularity_modulus_estimate,
+                          relaxed_cutter_check, sample_ball)
 from .engine import (IterationConfig, Trace, iterate, iterate_reformulated,
                      run_dr, run_map)
 from .errors import (ConfigError, CutterKitError, DegenerateSubgradientError,
@@ -34,7 +33,7 @@ __all__ = [
     "EstimationError", "HalfSpace", "Hyperplane", "InfeasibleError",
     "IterationConfig", "Operator", "ProbeConfig", "ProbeFailure",
     "RegularityReport", "RelaxationPair", "Trace", "UsageError",
-    "alpha_beta", "as_point", "big_radius", "compose", "cutter_check",
+    "alpha_beta", "as_point", "compose", "cutter_check",
     "dc_gap_check", "delta_product", "delta_projections",
     "demicontraction_check", "demicontraction_rho", "emit_svg",
     "fejer_check", "generalized_dr", "identity", "intersect_affine",

@@ -141,6 +141,14 @@ def _run_method(cfg, method, solution=None, max_iter=None,
     return iterate(method.t, method.u, run_cfg, solution=solution)
 
 
+def _write_report(path: str, lines) -> None:
+    """Write a report's lines, creating its directory first."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    configio._write_lines(path, lines)
+
+
 def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     cfg = configio.load_config(config_path)
     if seed is not None:
@@ -179,7 +187,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
         if solution is not None:
             emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
                      kind="error", labels=labels)
-    configio._write_lines(report_path, report_lines)
+    _write_report(report_path, report_lines)
     for line in report_lines:
         print(line)
     return EXIT_OK
@@ -275,10 +283,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     lines = [rep.line() for rep in reports]
     report_path = cfg.outputs.get("report")
     if report_path:
-        parent = os.path.dirname(report_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        configio._write_lines(report_path, lines)
+        _write_report(report_path, lines)
     for line in lines:
         print(line)
     failed = [r for r in reports if not r.skipped and not r.passed]

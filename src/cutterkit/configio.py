@@ -104,7 +104,7 @@ def operator_from_dict(obj, sets) -> Operator:
     where = f"operator spec {op!r}"
     try:
         if op == "projection":
-            index = _field(obj, "set", where, int)
+            index = _field(obj, "set", where, _integer)
             if not 0 <= index < len(sets):
                 raise ConfigError(f"{where} references unknown set index {index}")
             return projection_operator(sets[index])
@@ -145,8 +145,15 @@ class ExperimentConfig:
     probe_samples: int = 2000
 
 
+def _integer(value) -> int:
+    """int(value) for an integral value: 3 and 3.0 pass, 3.7 does not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
 _VECTOR = partial(np.asarray, dtype=float)
-_KINDS = {float: "a number", int: "an integer"}
+_KINDS = {float: "a number", _integer: "an integer"}
 
 
 def _field(obj, key: str, where: str, convert=float, default=None):
@@ -207,7 +214,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"dimension mismatch: sets[{i}] is {s.dim}-dimensional, "
                 f"x0 has {x0.size} coordinates"
             )
-    iterations = _field(doc, "iterations", "config", int)
+    iterations = _field(doc, "iterations", "config", _integer)
     if iterations < 1:
         raise UsageError("iterations must be >= 1")
     intersection = None
@@ -262,9 +269,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         methods=methods,
         intersection=intersection,
         outputs=outputs,
-        seed=_field(doc, "seed", "config", int, 0),
+        seed=_field(doc, "seed", "config", _integer, 0),
         probe_radius=_field(probe, "radius", "probe", float, 2.0),
-        probe_samples=_field(probe, "samples", "probe", int, 2000),
+        probe_samples=_field(probe, "samples", "probe", _integer, 2000),
     )
 
 
@@ -280,12 +287,9 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _log10_cell(e: float) -> str:
-    return _fmt(math.log10(e) if e > 0 else -math.inf)
+    # math.log10, not np.log10: the two may differ in the last ulp
+    return "%.17g" % (math.log10(e) if e > 0 else -math.inf)
 
 
 def _write_lines(path: str, lines) -> None:
@@ -295,22 +299,21 @@ def _write_lines(path: str, lines) -> None:
 
 
 def write_trace_csv(path: str, trace: Trace) -> None:
-    """Write a trace in the canonical CSV schema (17 significant digits)."""
+    """Write a trace in the canonical CSV schema (17 significant digits),
+    one %-template per row."""
     n, d = trace.iterates.shape
-    with_err = trace.solution_errors is not None
     cols = ["k"] + [f"x_{j}" for j in range(d)] + ["residual"]
-    if with_err:
+    row = ",".join(["%d"] + ["%.17g"] * d + ["%s"])
+    res = ["%.17g" % r for r in trace.residuals]
+    rows = zip(range(n), trace.iterates.tolist(), res + [""] * (n - len(res)))
+    if trace.solution_errors is None:
+        body = [row % (k, *x, r) for k, x, r in rows]
+    else:
         cols += ["err_norm", "log10_err"]
-    lines = [",".join(cols)]
-    for k in range(n):
-        row = [str(k)] + [_fmt(v) for v in trace.iterates[k]]
-        row.append(_fmt(trace.residuals[k]) if k < len(trace.residuals) else "")
-        if with_err:
-            e = trace.solution_errors[k]
-            row.append(_fmt(e))
-            row.append(_log10_cell(e))
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+        row += ",%.17g,%s"
+        body = [row % (k, *x, r, e, _log10_cell(e))
+                for (k, x, r), e in zip(rows, trace.solution_errors)]
+    _write_lines(path, [",".join(cols)] + body)
 
 
 def read_trace_csv(path: str) -> Trace:

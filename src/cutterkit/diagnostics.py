@@ -51,11 +51,6 @@ class ProbeConfig:
             raise UsageError("tolerance must be positive")
 
 
-def big_radius(radius: float, lam: float) -> float:
-    """Enlarged radius max{r, (lam - 1) r} reached by a lam-relaxed cutter."""
-    return max(radius, (lam - 1.0) * radius)
-
-
 def sample_ball(probe: ProbeConfig) -> np.ndarray:
     """(n, d) points uniform on B(center, radius): normalized Gaussian
     directions scaled by radius * U^(1/d)."""
@@ -70,7 +65,7 @@ def sample_ball(probe: ProbeConfig) -> np.ndarray:
 @dataclass
 class RegularityReport:
     """Outcome of one probe: pass/fail, minimum margin, and any measured
-    moduli (delta_hat, kappa_hat) or rate data (q_factor)."""
+    modulus (kappa_hat) or rate data (q_factor)."""
 
     name: str
     passed: bool
@@ -78,7 +73,6 @@ class RegularityReport:
     samples: int
     seed: int | None = None
     violations: list = field(default_factory=list)
-    delta_hat: float | None = None
     kappa_hat: float | None = None
     q_factor: float | None = None
     skipped: bool = False

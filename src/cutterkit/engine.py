@@ -14,6 +14,7 @@ the step schedule c_k:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,19 +105,21 @@ def _run(w_eval, x0, coeff_at, max_iter, residual_tol, solution):
     steps: list[float] = []
 
     def trace():
+        xs = np.array(iterates)
         errs = None
         if solution is not None:
-            errs = [float(np.linalg.norm(p - solution)) for p in iterates]
-        return Trace(np.array(iterates), residuals, steps, errs)
+            # sqrt(r @ r) is np.linalg.norm of a 1-d row, bit for bit
+            errs = [math.sqrt(r @ r) for r in xs - solution]
+        return Trace(xs, residuals, steps, errs)
 
     for k in range(int(max_iter)):
-        wx = np.asarray(w_eval(x), dtype=float)
-        res = float(np.linalg.norm(wx - x))
-        if not np.isfinite(res):
+        dx = np.asarray(w_eval(x), dtype=float) - x
+        res = math.sqrt(dx @ dx)
+        if not math.isfinite(res):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = coeff_at(k)
-        x = x + coeff * (wx - x)
-        if not np.all(np.isfinite(x)):
+        x = x + coeff * dx
+        if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite iterate at step {k}", trace())
         residuals.append(res)
         steps.append(coeff)

@@ -25,7 +25,7 @@ def _scale(lo, hi):
 
 
 def _polyline(xs, ys, color):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    pts = " ".join(["%.2f,%.2f" % xy for xy in zip(xs.tolist(), ys.tolist())])
     return (
         f'<polyline points="{pts}" fill="none" stroke="{color}" '
         f'stroke-width="1.5"/>'

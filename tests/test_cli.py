@@ -153,6 +153,27 @@ def test_run_rejects_bad_methods_without_writing(tmp_path, methods):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_run_creates_the_report_directory(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    report = tmp_path / "rep" / "sub" / "r.txt"
+    write_config(cfg, outputs={"csv": str(tmp_path / "out"),
+                               "report": str(report)})
+    assert main(["run", str(cfg)]) == 0
+    assert report.read_text().splitlines() == \
+        capsys.readouterr().out.splitlines()
+
+
+def test_integral_floats_are_accepted_as_integers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    t = dict(RELAX_T, of={"op": "projection", "set": 0.0})
+    write_config(cfg, iterations=30.0, seed=11.0, probe={"samples": 100.0},
+                 methods=[dict(PRODUCT, name="new", T=t)])
+    assert main(["run", str(cfg)]) == 0
+    assert "steps=30 " in capsys.readouterr().out
+    assert main(["verify", str(cfg)]) == 0
+    assert "samples=100 seed=11" in capsys.readouterr().out
+
+
 def _set_field(doc, path, value):
     """Replace doc[path[0]][path[1]]... by value."""
     for key in path[:-1]:
@@ -180,6 +201,12 @@ MALFORMED = {  # id: (path, value, the field the message names)
     "string-relax-lambda": (("methods", 2, "T"), dict(RELAX_T, **{"lambda": "3x"}),
                             "lambda"),
     "non-string-csv": (("outputs", "csv"), 3, "csv"),
+    "fractional-iterations": (("iterations",), 3.7, "iterations"),
+    "fractional-seed": (("seed",), 11.5, "seed"),
+    "fractional-probe-samples": (("probe",), {"samples": 100.5}, "samples"),
+    "fractional-T-set": (("methods", 2, "T"),
+                         dict(RELAX_T, of={"op": "projection", "set": 0.5}),
+                         "set"),
 }
 
 

@@ -150,3 +150,33 @@ def test_trace_csv_without_solution(tmp_path):
     back = read_trace_csv(str(path))
     assert back.solution_errors is None
     assert path.read_text().splitlines()[0] == "k,x_0,x_1,residual"
+
+
+# Pinned bytes: a deterministic writer that changed its number format would
+# still round-trip, so these literals are what holds the format.
+GOLDEN_ITERATES = [[-0.0, 5e-324], [1e308, 0.1], [0.5, -2.25]]
+GOLDEN_WITH_ERRORS = (
+    b"k,x_0,x_1,residual,err_norm,log10_err\n"
+    b"0,-0,4.9406564584124654e-324,0.10000000000000001,0.10000000000000001,-1\n"
+    b"1,1e+308,0.10000000000000001,1e+308,4.9406564584124654e-324,"
+    b"-323.30621534311581\n"
+    b"2,0.5,-2.25,,0,-inf\n"
+)
+GOLDEN_WITHOUT_ERRORS = (
+    b"k,x_0,x_1,residual\n"
+    b"0,-0,4.9406564584124654e-324,0.10000000000000001\n"
+    b"1,1e+308,0.10000000000000001,1e+308\n"
+    b"2,0.5,-2.25,\n"
+)
+
+
+@pytest.mark.parametrize("errors, golden", [
+    ([0.1, 5e-324, 0.0], GOLDEN_WITH_ERRORS),
+    (None, GOLDEN_WITHOUT_ERRORS),
+], ids=["with-errors", "without-errors"])
+def test_trace_csv_golden_bytes(tmp_path, errors, golden):
+    tr = Trace(iterates=np.array(GOLDEN_ITERATES), residuals=[0.1, 1e308],
+               step_sizes=[1.0, 1.0], solution_errors=errors)
+    path = tmp_path / "golden.csv"
+    write_trace_csv(str(path), tr)
+    assert path.read_bytes() == golden

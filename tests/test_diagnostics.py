@@ -7,7 +7,7 @@ from _helpers import (random_halfspace_pair, random_hyperplane_pair,
                       random_valid_pair, wedge_projection)
 from cutterkit import (EstimationError, Hyperplane,
                        IterationConfig, Operator, ProbeConfig, RelaxationPair, Trace,
-                       UsageError, alpha_beta, big_radius, compose,
+                       UsageError, alpha_beta, compose,
                        cutter_check, dc_gap_check, demicontraction_check,
                        fejer_check, identity, intersect_affine, iterate,
                        lb1_check, lb2_check, pair_regularity_estimate,
@@ -46,8 +46,6 @@ def grid_kappa(a, b, inter, n=200001):
 def test_probe_config_validation():
     with pytest.raises(UsageError):
         ProbeConfig(center=ORIGIN, radius=0.0)
-    assert big_radius(2.0, 3.0) == 4.0
-    assert big_radius(2.0, 0.5) == 2.0
 
 
 def test_sample_ball_is_seeded_and_inside():

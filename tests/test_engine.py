@@ -229,3 +229,21 @@ def test_baselines_stop_at_residual_tol(driver, steps):
     assert tr.n_steps == steps
     assert tr.final_residual <= 1e-10
     assert all(r > 1e-10 for r in tr.residuals[:-1])
+
+
+def test_residuals_and_errors_match_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(17)
+    d = 50
+    a = Hyperplane(rng.standard_normal(d), 0.0)
+    b = Hyperplane(rng.standard_normal(d), 0.0)
+    t, u = relax(projection_operator(a), 3.0), projection_operator(b)
+    solution = rng.standard_normal(d) * 1e-3
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0),
+                          x0=rng.standard_normal(d) * 7.0, epsilon=0.4,
+                          alpha=lambda k: (0.4, 1.6, 1.1)[k % 3], max_iter=200,
+                          residual_tol=1e-300)
+    tr = iterate(t, u, cfg, solution=solution)
+    assert tr.n_steps == 200
+    xs = tr.iterates
+    assert tr.residuals == [float(np.linalg.norm(u(t(x)) - x)) for x in xs[:-1]]
+    assert tr.solution_errors == [float(np.linalg.norm(x - solution)) for x in xs]
