@@ -17,9 +17,8 @@ from .errors import (ConfigError, CutterKitError, DegenerateSubgradientError,
                      ProbeFailure, UsageError)
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
                        Hyperplane, as_point, intersect_affine)
-from .operators import (Operator, compose, generalized_dr, identity,
-                        projection_operator, proximal, relax,
-                        subgradient_projection)
+from .operators import (Operator, compose, identity, projection_operator,
+                        proximal, relax, subgradient_projection)
 from .svg import emit_svg
 from .theory import (RelaxationPair, alpha_beta, delta_product,
                      delta_projections, demicontraction_rho, nu, qlinear_rate,
@@ -36,7 +35,7 @@ __all__ = [
     "alpha_beta", "as_point", "compose", "cutter_check",
     "dc_gap_check", "delta_product", "delta_projections",
     "demicontraction_check", "demicontraction_rho", "emit_svg",
-    "fejer_check", "generalized_dr", "identity", "intersect_affine",
+    "fejer_check", "identity", "intersect_affine",
     "iterate", "iterate_reformulated", "lb1_check", "lb2_check", "nu",
     "pair_regularity_estimate", "projection_operator", "proximal",
     "qlinear_rate", "rate_certificate", "regularity_modulus_estimate",

@@ -220,7 +220,7 @@ def _verify_method(cfg, method, oracle, w, probe):
         pair, t, u = method.pair, method.t, method.u
         n, epsilon = nu(pair), method.epsilon
         # membership samples for the single-operator checks
-        pts = diagnostics.sample_ball(probe)[:5]
+        pts = probe.samples[:5]
         fixed_a, fixed_b = a.project(pts), b.project(pts)
         add("cutter.PA", diagnostics.cutter_check(
             projection_operator(a), fixed_a, probe))

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .engine import Trace
 from .errors import CutterKitError, EstimationError, UsageError
-from .geometry import as_point
+from .geometry import _frozen, as_point
 from .operators import Operator
 from .theory import RelaxationPair, alpha_beta, nu, qlinear_rate, split_roots
 
@@ -30,7 +31,11 @@ MAX_RECORDED_VIOLATIONS = 20
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Sampling region, budget and tolerance of one probe."""
+    """Sampling region, budget and tolerance of one probe.
+
+    ``samples`` is the ball sample, drawn on first use and shared, read
+    only, by every probe given this config.
+    """
 
     center: np.ndarray
     radius: float
@@ -39,7 +44,7 @@ class ProbeConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
+        object.__setattr__(self, "center", _frozen(as_point(self.center)))
         if not 0 < self.radius < math.inf:
             raise UsageError(f"probe radius must be positive and finite, "
                              f"got {self.radius}")
@@ -49,6 +54,12 @@ class ProbeConfig:
             raise UsageError(f"probe seed must be >= 0, got {self.seed}")
         if not self.tolerance > 0:
             raise UsageError("tolerance must be positive")
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        x = sample_ball(self)
+        x.setflags(write=False)
+        return x
 
 
 def sample_ball(probe: ProbeConfig) -> np.ndarray:
@@ -141,7 +152,7 @@ def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
                 f"fixed_sample contains non-fixed points of {op.label}: "
                 f"max ||T(z) - z|| = {float(moved.max()):.3e}"
             )
-    images = [sample_ball(probe)]
+    images = [probe.samples]
     for op in ops:
         images.append(_eval_batch(op, images[-1]))
     return _report(name, np.min(margins(zs, *images), axis=0), images[0],
@@ -182,8 +193,10 @@ def demicontraction_check(t: Operator, rho: float, fixed_sample,
         raise UsageError(f"demicontraction constant must be < 1, got {rho}")
 
     def margins(zs, x, tx):
-        aa = _dot(tx - x, tx - x)
-        return [_dot(x - z, x - z) + rho * aa - _dot(tx - z, tx - z) for z in zs]
+        a = tx - x
+        aa = _dot(a, a)
+        return [_dot(xz, xz) + rho * aa - _dot(tz, tz)
+                for xz, tz in ((x - z, tx - z) for z in zs)]
 
     return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe, margins)
 
@@ -223,7 +236,7 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     a_, b_ = alpha_beta(pair)
     coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
     dist = getattr(intersection_distance, "distance", intersection_distance)
-    x = sample_ball(probe)
+    x = probe.samples
     d = np.asarray(dist(x), dtype=float)
     keep = d > probe.tolerance
     if not np.any(keep):
@@ -251,7 +264,7 @@ def regularity_modulus_estimate(t: Operator, probe: ProbeConfig) -> float:
     """
     if t.fix_distance is None:
         raise UsageError(f"operator {t.label} carries no fix_distance oracle")
-    x = sample_ball(probe)
+    x = probe.samples
     d = np.asarray(t.fix_distance(x), dtype=float)
     keep = d > probe.tolerance
     if not np.any(keep):
@@ -268,7 +281,7 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     ConvexSet or a distance callable for the true A n B.
     """
     dist = getattr(intersection, "distance", intersection)
-    x = sample_ball(probe)
+    x = probe.samples
     dm = np.maximum(np.asarray(a.distance(x)), np.asarray(b.distance(x)))
     keep = dm > probe.tolerance
     if not np.any(keep):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .geometry import ConvexSet, as_point
+from .geometry import ConvexSet, _frozen, as_point
 from .operators import Operator, projection_operator, relax
 from .theory import RelaxationPair, nu, rho_overrelax
 
@@ -41,7 +41,7 @@ class IterationConfig:
     residual_tol: float = 1e-12
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", as_point(self.x0))
+        object.__setattr__(self, "x0", _frozen(as_point(self.x0)))
         if not isinstance(self.pair, RelaxationPair):
             raise UsageError("config.pair must be a RelaxationPair")
         if not self.epsilon > 0:

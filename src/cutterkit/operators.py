@@ -1,5 +1,5 @@
 """Operator algebra: projections, subgradient projections, proximal maps,
-relaxations, products, and the generalized Douglas-Rachford operator.
+relaxations and products.
 
 Operators are immutable closures over immutable data.  Evaluation accepts
 a single point ``(d,)`` or a batch ``(n, d)``, mapped row by row to an
@@ -165,23 +165,3 @@ def proximal(f, t: float = 1.0) -> Operator:
         )
     raise UsageError(f"unsupported function tag for proximal: {f!r}")
 
-
-def generalized_dr(a: ConvexSet, b: ConvexSet, lam: float, mu: float, abar: float) -> Operator:
-    """Generalized Douglas-Rachford operator x + abar (W(x) - x), where
-    W = (P_B)_mu (P_A)_lam (lam applied to P_A, which acts first).
-
-    With lam = mu = 2 and abar = 1/2 this is the classical DR map
-    (I + R_B R_A)/2.
-    """
-    if not (lam > 0 and mu > 0):
-        raise UsageError("relaxation parameters must be positive")
-    if not abar > 0:
-        raise UsageError(f"step abar must be positive, got {abar}")
-    if a.dim != b.dim:
-        raise UsageError(f"set dimensions differ: {a.dim} vs {b.dim}")
-    w = compose(relax(projection_operator(b), mu), relax(projection_operator(a), lam))
-
-    def fn(x):
-        return x + abar * (w(x) - x)
-
-    return Operator(fn, None, label=f"gdr(lam={lam:g},mu={mu:g},abar={abar:g})", dim=a.dim)

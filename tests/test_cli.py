@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cutterkit import diagnostics
 from cutterkit.cli import main, paper_traces
 from cutterkit.configio import read_trace_csv
 
@@ -360,3 +361,77 @@ def test_verify_probe_lines_in_order(tmp_path, capsys, overrides, expected):
     assert main(["verify", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [tuple(ln.split()[1:3]) for ln in lines] == expected
+
+
+def test_verify_draws_one_ball_sample(tmp_path, monkeypatch):
+    # every probe of one verify reads the probe config's shared sample
+    calls = []
+    draw = diagnostics.sample_ball
+
+    def counted(probe):
+        calls.append(probe)
+        return draw(probe)
+
+    monkeypatch.setattr(diagnostics, "sample_ball", counted)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["verify", str(cfg)]) == 0
+    assert len(calls) == 1
+
+
+PAPER_PROBE_LINES = """\
+PROBE map.fejer PASS margin=9.2271e-11 samples=155 seed=-
+PROBE map.fejer-dc PASS margin=5.53406e-20 samples=77 seed=-
+PROBE dr.fejer PASS margin=1.17342e-11 samples=325 seed=-
+PROBE dr.fejer-dc PASS margin=-1.11022e-16 samples=162 seed=-
+PROBE new.cutter.PA PASS margin=-0 samples=2000 seed=11
+PROBE new.cutter.PB PASS margin=-8.88178e-16 samples=2000 seed=11
+PROBE new.relaxed-cutter.T PASS margin=-7.10543e-15 samples=2000 seed=11
+PROBE new.relaxed-cutter.U PASS margin=-1.33227e-15 samples=2000 seed=11
+PROBE new.demicontraction.T PASS margin=-7.10543e-15 samples=2000 seed=11
+PROBE new.demicontraction.U PASS margin=-5.32907e-15 samples=2000 seed=11
+PROBE new.product.cutter PASS margin=6.75893e-05 samples=2000 seed=11
+PROBE new.lb1 PASS margin=0.000507269 samples=2000 seed=11
+PROBE new.lb2 PASS margin=0.0345314 samples=2000 seed=11
+PROBE new.fejer PASS margin=2.24938e-11 samples=235 seed=-
+PROBE new.fejer-dc PASS margin=4.3852e-21 samples=117 seed=-
+PROBE new.rate PASS margin=2.24938e-11 samples=117 seed=-
+"""
+AFFINE_D5 = {
+    "seed": 5,
+    "problem": {"sets": [
+        {"type": "affine", "anchor": [1, 0, 0, 0, 0],
+         "basis": [[0.6, 0.8, 0, 0, 0], [0, 0, 1, 0, 0]]},
+        {"type": "hyperplane", "normal": [0, 1, 1, 0, 2], "offset": 1}]},
+    "x0": [2.0, -1.0, 0.5, 1.0, 0.0],
+    "methods": [{"name": "p", "driver": "product", "lambda": 2.5, "mu": 1.2,
+                 "alpha": 1.0, "epsilon": 0.5}],
+    "probe": {"radius": 2.0, "samples": 300},
+}
+AFFINE_D5_PROBE_LINES = """\
+PROBE p.cutter.PA PASS margin=-9.99201e-16 samples=300 seed=5
+PROBE p.cutter.PB PASS margin=-6.66134e-16 samples=300 seed=5
+PROBE p.relaxed-cutter.T PASS margin=-7.10543e-15 samples=300 seed=5
+PROBE p.relaxed-cutter.U PASS margin=-1.77636e-15 samples=300 seed=5
+PROBE p.demicontraction.T PASS margin=-7.10543e-15 samples=300 seed=5
+PROBE p.demicontraction.U PASS margin=-3.55271e-15 samples=300 seed=5
+PROBE p.product.cutter PASS margin=0.0170486 samples=300 seed=5
+PROBE p.lb1 PASS margin=0.304782 samples=300 seed=5
+PROBE p.lb2 PASS margin=0.861108 samples=300 seed=5
+PROBE p.fejer PASS margin=5.22213e-12 samples=163 seed=-
+PROBE p.fejer-dc PASS margin=8.33444e-23 samples=81 seed=-
+PROBE p.rate PASS margin=2.41492e-11 samples=81 seed=-
+"""
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, PAPER_PROBE_LINES),
+    (AFFINE_D5, AFFINE_D5_PROBE_LINES),
+], ids=["paper", "affine-d5"])
+def test_verify_probe_lines_golden(tmp_path, capsys, overrides, expected):
+    # the full lines, margins included, as the probes printed them when
+    # each drew its own ball sample
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    assert main(["verify", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected

@@ -48,6 +48,27 @@ def test_probe_config_validation():
         ProbeConfig(center=ORIGIN, radius=0.0)
 
 
+def test_probe_center_is_a_copy_of_the_callers_point():
+    c = np.zeros(2)
+    probe = ProbeConfig(center=c, radius=1.0, sample_count=50, seed=3)
+    before = sample_ball(probe)
+    c[0] = 100.0
+    assert np.array_equal(probe.center, [0.0, 0.0])
+    assert sample_ball(probe).tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        probe.center[0] = 1.0
+
+
+def test_probe_samples_are_drawn_once_read_only_and_exact():
+    probe = ProbeConfig(center=[1.0, -2.0], radius=0.5, sample_count=300, seed=8)
+    x = probe.samples
+    assert probe.samples is x
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0, 0] = 0.0
+    assert x.tobytes() == sample_ball(probe).tobytes()
+
+
 def test_sample_ball_is_seeded_and_inside():
     p1 = sample_ball(PROBE)
     p2 = sample_ball(PROBE)

@@ -35,6 +35,15 @@ def test_config_validation():
         IterationConfig(pair=(1.0, 3.0), x0=X0)
 
 
+def test_x0_is_a_copy_of_the_callers_point():
+    x0 = X0.copy()
+    cfg = IterationConfig(pair=RelaxationPair(1.0, 3.0), x0=x0)
+    x0[0] = 100.0
+    assert np.array_equal(cfg.x0, X0)
+    with pytest.raises(ValueError):
+        cfg.x0[0] = 1.0
+
+
 def test_alpha_policies():
     pair = RelaxationPair(1.0, 3.0)
     cfg = IterationConfig(pair=pair, x0=X0, alpha=[1.0, 1.5])
