@@ -29,7 +29,7 @@ from .theory import RelaxationPair, alpha_beta, nu, qlinear_rate, split_roots
 MAX_RECORDED_VIOLATIONS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeConfig:
     """Sampling region, budget and tolerance of one probe.
 

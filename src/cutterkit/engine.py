@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 
 from .errors import DivergenceError, UsageError
 from .geometry import ConvexSet, _frozen, as_point
-from .operators import Operator, projection_operator, relax
+from .operators import Operator, compose, projection_operator, relax
 from .theory import RelaxationPair, nu, rho_overrelax
 
 
@@ -89,8 +90,8 @@ class Trace:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
-def _run(w_eval, x0, coeff_at, max_iter, residual_tol, solution):
-    """The iteration loop: x <- x + coeff_k (W(x) - x), recording the trace.
+def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
+    """The loop x <- x + c_k (W(x) - x), c_k = next(coeffs), recording the trace.
 
     Stops after max_iter transitions or once ||W(x^k) - x^k|| <=
     residual_tol (checked after the transition is recorded).
@@ -113,13 +114,15 @@ def _run(w_eval, x0, coeff_at, max_iter, residual_tol, solution):
         return Trace(xs, residuals, steps, errs)
 
     for k in range(int(max_iter)):
-        dx = np.asarray(w_eval(x), dtype=float) - x
+        dx = w(x) - x
         res = math.sqrt(dx @ dx)
         if not math.isfinite(res):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
-        coeff = coeff_at(k)
+        coeff = next(coeffs)
         x = x + coeff * dx
-        if not np.isfinite(x).all():
+        # a finite x . x proves x finite, else the exact test decides;
+        # np.vdot, unlike @, warns on no overflow
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise DivergenceError(f"non-finite iterate at step {k}", trace())
         residuals.append(res)
         steps.append(coeff)
@@ -127,6 +130,19 @@ def _run(w_eval, x0, coeff_at, max_iter, residual_tol, solution):
         if res <= residual_tol:
             break
     return trace()
+
+
+def _steps(config: IterationConfig, lo: float, hi: float, divisor: float):
+    """Yield c_k = alpha_k / divisor with alpha_k checked against [lo, hi];
+    a constant alpha is checked once, at step 0."""
+    constant = not callable(config.alpha) and np.isscalar(config.alpha)
+    for k in count():
+        a = config.alpha_at(k)
+        if a < lo or a > hi:
+            raise UsageError(f"step {k}: {a} outside [{lo}, {hi}]")
+        if constant:
+            yield from repeat(a / divisor)
+        yield a / divisor
 
 
 def _run_product(t: Operator, u: Operator, config: IterationConfig, hi: float,
@@ -141,15 +157,8 @@ def _run_product(t: Operator, u: Operator, config: IterationConfig, hi: float,
     lo = config.epsilon
     if hi < lo:
         raise UsageError(f"empty step window [{lo}, {hi}]")
-
-    def coeff_at(k):
-        a = config.alpha_at(k)
-        if a < lo or a > hi:
-            raise UsageError(f"step {k}: {a} outside [{lo}, {hi}]")
-        return a / divisor
-
-    return _run(lambda x: u(t(x)), config.x0, coeff_at, config.max_iter,
-                config.residual_tol, solution)
+    return _run(compose(u, t), config.x0, _steps(config, lo, hi, divisor),
+                config.max_iter, config.residual_tol, solution)
 
 
 def iterate(t: Operator, u: Operator, config: IterationConfig,
@@ -172,8 +181,8 @@ def run_map(a: ConvexSet, b: ConvexSet, x0, n: int, residual_tol: float = 0.0,
             solution=None) -> Trace:
     """Method of alternating projections x^{k+1} = P_B P_A x^k for up to
     n steps."""
-    return _run(lambda x: b.project(a.project(x)), as_point(x0, a.dim),
-                lambda k: 1.0, n, residual_tol, solution)
+    w = compose(projection_operator(b), projection_operator(a))
+    return _run(w, as_point(x0, a.dim), repeat(1.0), n, residual_tol, solution)
 
 
 def run_dr(a: ConvexSet, b: ConvexSet, x0, n: int, residual_tol: float = 0.0,
@@ -184,7 +193,6 @@ def run_dr(a: ConvexSet, b: ConvexSet, x0, n: int, residual_tol: float = 0.0,
     lam = mu = 2 sits outside the lam*mu < 4 hypothesis, so this is a
     standalone baseline rather than a RelaxationPair-driven run.
     """
-    ra = relax(projection_operator(a), 2.0)
-    rb = relax(projection_operator(b), 2.0)
-    return _run(lambda x: rb(ra(x)), as_point(x0, a.dim), lambda k: 0.5, n,
-                residual_tol, solution)
+    w = compose(relax(projection_operator(b), 2.0),
+                relax(projection_operator(a), 2.0))
+    return _run(w, as_point(x0, a.dim), repeat(0.5), n, residual_tol, solution)

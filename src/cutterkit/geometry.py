@@ -73,7 +73,7 @@ class Hyperplane(ConvexSet):
     def project(self, x):
         x = self._coerce(x)
         s = (x @ self.normal - self.offset) / self._nn
-        return x - np.multiply.outer(s, self.normal)
+        return x - s[..., None] * self.normal
 
     def distance(self, x):
         x = self._coerce(x)
@@ -97,7 +97,7 @@ class HalfSpace(ConvexSet):
     def project(self, x):
         x = self._coerce(x)
         s = np.maximum((x @ self.normal - self.offset) / self._nn, 0.0)
-        return x - np.multiply.outer(s, self.normal)
+        return x - s[..., None] * self.normal
 
     def distance(self, x):
         x = self._coerce(x)
@@ -134,7 +134,7 @@ class AffineSubspace(ConvexSet):
     def project(self, x):
         x = self._coerce(x)
         z = x - self.anchor
-        return self.anchor + (z @ self._q) @ self._q.T
+        return self.anchor + (z @ self._q) @ self.basis
 
     def __repr__(self):
         return (

@@ -73,7 +73,7 @@ def relax(t: Operator, lam: float) -> Operator:
         return identity(t.dim)
 
     def fn(x):
-        return x + lam * (t(x) - x)
+        return x + lam * (t._fn(x) - x)
 
     return Operator(fn, t.fix_distance, f"({t.label})_{lam:g}", t.dim)
 
@@ -89,7 +89,8 @@ def compose(u: Operator, t: Operator, intersection_distance=None) -> Operator:
         raise UsageError(f"operator dimensions differ: {u.dim} vs {t.dim}")
 
     def fn(x):
-        return u(t(x))
+        # T may be a user function returning a list; U gets float64
+        return u._fn(np.asarray(t._fn(x), dtype=float))
 
     return Operator(
         fn,

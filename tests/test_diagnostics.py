@@ -59,6 +59,16 @@ def test_probe_center_is_a_copy_of_the_callers_point():
         probe.center[0] = 1.0
 
 
+def test_probe_configs_compare_and_hash_by_identity():
+    # an array field makes field-wise == ambiguous; IterationConfig does
+    # the same
+    p = ProbeConfig(center=[0, 0], radius=1.0)
+    q = ProbeConfig(center=[0, 0], radius=1.0)
+    assert p == p
+    assert p != q
+    assert len({p, q, p}) == 2
+
+
 def test_probe_samples_are_drawn_once_read_only_and_exact():
     probe = ProbeConfig(center=[1.0, -2.0], radius=0.5, sample_count=300, seed=8)
     x = probe.samples

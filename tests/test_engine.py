@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cutterkit import (DivergenceError, Hyperplane,
-                       IterationConfig, Operator, RelaxationPair, UsageError,
-                       identity, iterate, iterate_reformulated, nu,
-                       projection_operator, relax, rho_overrelax, run_dr,
-                       run_map)
+from cutterkit import (AffineSubspace, Ball, Box, DivergenceError, HalfSpace,
+                       Hyperplane, IterationConfig, Operator, RelaxationPair,
+                       UsageError, compose, identity, iterate,
+                       iterate_reformulated, nu, projection_operator, relax,
+                       rho_overrelax, run_dr, run_map)
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)
@@ -52,6 +53,12 @@ def test_alpha_policies():
         cfg.alpha_at(2)  # sequence exhausted
     cfg = IterationConfig(pair=pair, x0=X0, alpha=lambda k: 1.0 + 0.1 * k)
     assert cfg.alpha_at(3) == 1.3
+    # a run exhausts a sequence at its length
+    t, u = new_method_ops()
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=0.2,
+                          alpha=[1.0, 1.2, 0.8], max_iter=10, residual_tol=1e-300)
+    with pytest.raises(UsageError, match="^step sequence exhausted at k=3$"):
+        iterate(t, u, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +95,11 @@ def test_iterate_rejects_steps_outside_window():
     t, u = new_method_ops()
     pair = RelaxationPair(3.0, 1.0)
     cfg = IterationConfig(pair=pair, x0=X0, epsilon=0.2, alpha=1.9, max_iter=2)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^step 0: 1\.9 outside \[0\.2, 1\.8\]$"):
         iterate(t, u, cfg)
+    # a constant alpha is checked at the first step; no step, no check
+    cfg = IterationConfig(pair=pair, x0=X0, epsilon=0.2, alpha=1.9, max_iter=0)
+    assert iterate(t, u, cfg).n_steps == 0
     cfg = IterationConfig(pair=pair, x0=X0, epsilon=0.2, alpha=0.1, max_iter=2)
     with pytest.raises(UsageError):
         iterate(t, u, cfg)
@@ -256,3 +266,182 @@ def test_residuals_and_errors_match_linalg_norm_bit_for_bit():
     xs = tr.iterates
     assert tr.residuals == [float(np.linalg.norm(u(t(x)) - x)) for x in xs[:-1]]
     assert tr.solution_errors == [float(np.linalg.norm(x - solution)) for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# step edge cases
+
+def test_far_out_finite_start_on_the_fixed_set_warns_nothing():
+    # x . x overflows at |x| = 1e200; the iterate is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run_map(LINE_A, LINE_A, [1e200, 0.0], 3)
+    assert tr.iterates.tobytes() == np.array([[1e200, 0.0]] * 2).tobytes()
+    assert tr.residuals == [0.0]
+
+
+def test_steps_longer_than_about_1e154_read_as_non_finite():
+    # a known limit: ||W(x) - x||^2 overflows, so this finite step is
+    # reported as a non-finite operator value (README, engine)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DivergenceError,
+                           match="^non-finite operator value at step 0$") as exc:
+            run_map(LINE_A, LINE_B, [0.0, 1e160], 5)
+    assert exc.value.trace.iterates.tobytes() == np.array([[0.0, 1e160]]).tobytes()
+
+
+def test_nan_iterate_raises_with_the_partial_trace():
+    # a NaN alpha passes the window test, and makes the iterate NaN
+    t, u = new_method_ops()
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=1.0,
+                          alpha=lambda k: 1.0 if k < 3 else math.nan,
+                          max_iter=10, residual_tol=1e-300)
+    with pytest.raises(DivergenceError,
+                       match="^non-finite iterate at step 3$") as exc:
+        iterate(t, u, cfg)
+    assert exc.value.trace.iterates.shape == (4, 2)
+    assert exc.value.trace.step_sizes == [0.25] * 3
+
+
+def test_user_operators_returning_lists_or_int_arrays():
+    as_list = Operator(lambda x: [v + 1.0 for v in x], label="list")
+    as_int = Operator(lambda x: np.rint(x).astype(int), label="int")
+    double = Operator(lambda x: x * 2, label="double")  # a list would repeat
+    x = np.array([0.4, -1.6])
+    for op, want in ((compose(double, as_list), (x + 1.0) * 2),
+                     (compose(double, as_int), np.rint(x) * 2),
+                     (relax(as_list, 0.5), x + 0.5 * ((x + 1.0) - x)),
+                     (relax(as_int, 3.0), x + 3.0 * (np.rint(x) - x))):
+        got = op(x)
+        assert got.dtype == float
+        assert got.tobytes() == want.tobytes()
+    # lam = mu = 1 and alpha = nu make the step x <- U T x
+    cfg = IterationConfig(pair=RelaxationPair(1.0, 1.0), x0=[2.4, -1.6],
+                          epsilon=0.1, alpha=4.0 / 3.0, max_iter=3)
+    tr = iterate(as_int, as_list, cfg)
+    assert tr.iterates.tolist() == [[2.4, -1.6], [3.0, -1.0], [4.0, 0.0], [5.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit reference: the loop and the projections written out with
+# nested Operator calls, np.multiply.outer, np.isfinite(x).all() and a
+# per-step alpha_at
+
+def _ref_project(cset, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(cset, (Hyperplane, HalfSpace)):
+        s = (x @ cset.normal - cset.offset) / float(cset.normal @ cset.normal)
+        if isinstance(cset, HalfSpace):
+            s = np.maximum(s, 0.0)
+        return x - np.multiply.outer(s, cset.normal)
+    if isinstance(cset, AffineSubspace):
+        q = cset.basis.T
+        return cset.anchor + ((x - cset.anchor) @ q) @ q.T
+    if isinstance(cset, Ball):
+        d = x - cset.center
+        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        scale = np.where(n > cset.radius, cset.radius / np.where(n > 0, n, 1.0), 1.0)
+        return cset.center + scale * d
+    return np.clip(x, cset.lo, cset.hi)
+
+
+def _ref_relax(t, lam):
+    return t if lam == 1.0 else Operator(lambda x: x + lam * (t(x) - x))
+
+
+def _ref_run(w, x0, coeff_at, max_iter, residual_tol, solution):
+    x = np.asarray(x0, dtype=float)
+    xs, res, steps = [x], [], []
+    for k in range(max_iter):
+        dx = np.asarray(w(x), dtype=float) - x
+        r = math.sqrt(dx @ dx)
+        assert math.isfinite(r)
+        c = coeff_at(k)
+        x = x + c * dx
+        assert np.isfinite(x).all()
+        res.append(r)
+        steps.append(c)
+        xs.append(x)
+        if r <= residual_tol:
+            break
+    xs = np.array(xs)
+    return xs, res, steps, [math.sqrt(e @ e) for e in xs - solution]
+
+
+def _reference_pairs():
+    rng = np.random.default_rng(2025)
+    d = 5
+    p = rng.standard_normal(d)
+
+    def unit():
+        v = rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    n1, n2 = unit(), unit()
+    diag = np.full(d, d ** -0.5)
+    # thin intersections at p, so that every run takes many steps
+    corner = Box(p - 1.0, p + 0.005)
+    ball = Ball(p + 0.59 * diag, 0.6)
+    return p, unit, {
+        "hyperplanes": (Hyperplane(n1, n1 @ p), Hyperplane(n2, n2 @ p)),
+        "affine": (AffineSubspace(p, rng.standard_normal((3, d))),
+                   AffineSubspace(p, rng.standard_normal((2, d)))),
+        "halfspace-ball": (HalfSpace(n1, n1 @ p + 0.01), Ball(p + 0.59 * n1, 0.6)),
+        "ball-box": (ball, corner),
+        "halfspace-box": (HalfSpace(-diag, -diag @ p), corner),
+    }
+
+
+REFERENCE_RUNS = ("iterate-constant", "iterate-sequence", "iterate-callable",
+                  "reformulated", "map", "dr")
+
+
+@pytest.mark.parametrize("run", REFERENCE_RUNS)
+@pytest.mark.parametrize("pair", ("hyperplanes", "affine", "halfspace-ball",
+                                  "ball-box", "halfspace-box"))
+def test_drivers_match_the_reference_loop_bit_for_bit(pair, run):
+    p, unit, pairs = _reference_pairs()
+    a, b = pairs[pair]
+    x0 = p + 3.0 * unit()
+    n, tol = 300, 1e-12
+    pa = Operator(lambda x: _ref_project(a, x))
+    pb = Operator(lambda x: _ref_project(b, x))
+    if run in ("map", "dr"):
+        driver = run_map if run == "map" else run_dr
+        tr = driver(a, b, x0, n, residual_tol=tol, solution=p)
+        if run == "map":
+            w, c = Operator(lambda x: pb(pa(x))), 1.0
+        else:
+            ra, rb = _ref_relax(pa, 2.0), _ref_relax(pb, 2.0)
+            w, c = Operator(lambda x: rb(ra(x))), 0.5
+        want = _ref_run(w, x0, lambda k: c, n, tol, p)
+    else:
+        lam, mu = (3.0, 1.0) if pair != "affine" else (2.2, 1.5)
+        pair_ = RelaxationPair(lam, mu)
+        alpha, eps, hi, divisor = {
+            "iterate-constant": (1.3, 0.2, 1.8, nu(pair_)),
+            "iterate-sequence": ([(0.4, 1.8, 1.2, 0.9)[k % 4] for k in range(n)],
+                                 0.2, 1.8, nu(pair_)),
+            "iterate-callable": (lambda k: (0.5, 1.6)[k % 2], 0.2, 1.8, nu(pair_)),
+            "reformulated": (0.3, 0.05, 1.0 + rho_overrelax(pair_) - 0.05, 1.0),
+        }[run]
+        cfg = IterationConfig(pair=pair_, x0=x0, epsilon=eps, alpha=alpha,
+                              max_iter=n, residual_tol=tol)
+        t, u = relax(projection_operator(a), lam), relax(projection_operator(b), mu)
+        driver = iterate if run.startswith("iterate") else iterate_reformulated
+        tr = driver(t, u, cfg, solution=p)
+        rt, ru = _ref_relax(pa, lam), _ref_relax(pb, mu)
+
+        def coeff_at(k):
+            a_k = cfg.alpha_at(k)
+            assert eps <= a_k <= hi
+            return a_k / divisor
+
+        want = _ref_run(Operator(lambda x: ru(rt(x))), x0, coeff_at, n, tol, p)
+    xs, res, steps, errs = want
+    assert len(res) > 10
+    assert tr.iterates.tobytes() == xs.tobytes()
+    assert tr.iterates.shape == xs.shape
+    assert tr.residuals == res
+    assert tr.step_sizes == steps
+    assert tr.solution_errors == errs
