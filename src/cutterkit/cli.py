@@ -3,9 +3,9 @@
 Subcommands:
   example-paper  two lines through the origin at angle pi/6: alternating
                  projections, Douglas-Rachford, and the over-relaxed
-                 (3,1)-product method, 30 iterations from (1, 0);
-                 emits per-method CSVs, a combined log-error CSV and two
-                 SVG plots.
+                 (3,1)-product method, 30 iterations from (1, 0), run as
+                 `run` runs a config; emits per-method CSVs, a combined
+                 log-error CSV and two SVG plots.
   run CONFIG     execute the methods of a JSON experiment config.
   verify CONFIG  run the diagnostics battery on a configured problem.
 
@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import configio, diagnostics
+from .configio import ExperimentConfig, MethodSpec
 from .engine import IterationConfig, Trace, iterate, run_dr, run_map
 from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
@@ -39,36 +40,21 @@ EXIT_PROBE = 4
 EXIT_IO = 5
 
 
-def paper_problem():
-    """A = x-axis, B = line at angle pi/6 through the origin (in R^2)."""
+def _paper_config(iters: int) -> ExperimentConfig:
+    """The paper's example: A = x-axis, B = line at angle pi/6 through the
+    origin (in R^2), x0 = (1, 0); MAP, DR and the (3,1) product method."""
     a = Hyperplane([0.0, 1.0], 0.0)
     b = Hyperplane([-math.sin(math.pi / 6), math.cos(math.pi / 6)], 0.0)
-    return a, b
-
-
-def paper_traces(iters: int = 30):
-    """MAP, DR and the (3,1) product method from (1, 0); returns
-    [(name, trace), ...] with solution errors against the origin."""
-    a, b = paper_problem()
-    x0 = np.array([1.0, 0.0])
-    origin = np.zeros(2)
-    t_map = run_map(a, b, x0, iters, solution=origin)
-    t_dr = run_dr(a, b, x0, iters, solution=origin)
-    t = relax(projection_operator(a), 3.0)
-    u = projection_operator(b)
-    cfg = IterationConfig(
-        pair=RelaxationPair(3.0, 1.0), x0=x0, epsilon=1.0, alpha=1.0,
-        max_iter=iters, residual_tol=1e-300,
-    )
-    t_new = iterate(t, u, cfg, solution=origin)
-    return [("map", t_map), ("dr", t_dr), ("new", t_new)]
+    new = MethodSpec("new", "product", RelaxationPair(3.0, 1.0), alpha=1.0,
+                     epsilon=1.0, t=relax(projection_operator(a), 3.0),
+                     u=projection_operator(b))
+    return ExperimentConfig([a, b], np.array([1.0, 0.0]), iters,
+                            [MethodSpec("map", "map"), MethodSpec("dr", "dr"), new])
 
 
 def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    named = paper_traces(iters)
-    for name, tr in named:
-        configio.write_trace_csv(os.path.join(out_dir, f"{name}.csv"), tr)
+    named = _run_methods(_paper_config(iters), 1e-300, out_dir, out_dir,
+                         ("iterate trajectories", "log10 error per step"))
     n = max(tr.iterates.shape[0] for _, tr in named)
     lines = [",".join(["k"] + [f"log10_err_{name}" for name, _ in named])]
     for k in range(n):
@@ -76,12 +62,6 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
                  if k < len(tr.solution_errors) else "" for _, tr in named]
         lines.append(",".join([str(k)] + cells))
     configio._write_lines(os.path.join(out_dir, "errors.csv"), lines)
-    traces = [tr for _, tr in named]
-    labels = [name for name, _ in named]
-    emit_svg(traces, os.path.join(out_dir, "trajectories.svg"),
-             kind="trajectory", labels=labels, title="iterate trajectories")
-    emit_svg(traces, os.path.join(out_dir, "errors.svg"),
-             kind="error", labels=labels, title="log10 error per step")
 
     # sanity of the canonical first steps; a failure here is a code bug
     expected = {
@@ -101,10 +81,11 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
         final = tr.solution_errors[-1]
         print(f"{name}: final error {final:.6e} after {tr.n_steps} steps")
         if final >= 1e-2:
-            # Reachable only by the DR baseline at the canonical 30 steps:
-            # it contracts by cos(pi/6) per step, and (3/4)^15 ~ 1.34e-2.
-            print(f"WARNING: {name} final error {final:.6e} >= 1e-2 "
-                  f"(DR needs 33 steps to cross 1e-2)", file=sys.stderr)
+            # Of the three, only DR stays above 1e-2 at the canonical 30
+            # steps: it contracts by cos(pi/6) per step, (3/4)^15 ~ 1.34e-2.
+            why = " (DR needs 33 steps to cross 1e-2)" if name == "dr" else ""
+            print(f"WARNING: {name} final error {final:.6e} >= 1e-2{why}",
+                  file=sys.stderr)
     print(f"wrote {out_dir}/{{map,dr,new,errors}}.csv and "
           f"{{trajectories,errors}}.svg")
     return EXIT_OK
@@ -141,6 +122,35 @@ def _run_method(cfg, method, solution=None, max_iter=None,
     return iterate(method.t, method.u, run_cfg, solution=solution)
 
 
+def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
+    """Run every method of cfg against the unique intersection point, when
+    there is one; write each trace's CSV into csv_dir and, given svg_dir,
+    the trajectory plot and, given that point, the error plot, titled by
+    titles.  Returns [(name, trace), ...]."""
+    oracle = _intersection_oracle(cfg)
+    solution = None
+    if oracle is not None and isinstance(oracle, AffineSubspace) \
+            and oracle.basis.shape[0] == 0:
+        solution = oracle.anchor  # unique intersection point
+    os.makedirs(csv_dir, exist_ok=True)
+    named = []
+    for method in cfg.methods:
+        trace = _run_method(cfg, method, solution=solution,
+                            residual_tol=residual_tol)
+        named.append((method.name, trace))
+        configio.write_trace_csv(os.path.join(csv_dir, f"{method.name}.csv"), trace)
+    if svg_dir:
+        os.makedirs(svg_dir, exist_ok=True)
+        labels = [n for n, _ in named]
+        traces = [t for _, t in named]
+        emit_svg(traces, os.path.join(svg_dir, "trajectories.svg"),
+                 kind="trajectory", labels=labels, title=titles[0])
+        if solution is not None:
+            emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
+                     kind="error", labels=labels, title=titles[1])
+    return named
+
+
 def _write_report(path: str, lines) -> None:
     """Write a report's lines, creating its directory first."""
     parent = os.path.dirname(path)
@@ -155,39 +165,18 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
         cfg.seed = seed
     if iters is not None:
         cfg.iterations = iters
-    residual_tol = tol if tol is not None else 1e-300
-    oracle = _intersection_oracle(cfg)
-    solution = None
-    if oracle is not None and isinstance(oracle, AffineSubspace) \
-            and oracle.basis.shape[0] == 0:
-        solution = oracle.anchor  # unique intersection point
-
     csv_dir = cfg.outputs.get("csv", "out")
-    os.makedirs(csv_dir, exist_ok=True)
-    report_path = cfg.outputs.get("report", os.path.join(csv_dir, "report.txt"))
+    named = _run_methods(cfg, tol if tol is not None else 1e-300, csv_dir,
+                         cfg.outputs.get("svg"))
     report_lines = [f"config: {config_path}", f"seed: {cfg.seed}"]
-    named = []
-    for method in cfg.methods:
-        trace = _run_method(cfg, method, solution=solution,
-                            residual_tol=residual_tol)
-        named.append((method.name, trace))
-        configio.write_trace_csv(os.path.join(csv_dir, f"{method.name}.csv"), trace)
+    for name, trace in named:
         last = trace.solution_errors[-1] if trace.solution_errors else float("nan")
         report_lines.append(
-            f"method {method.name}: steps={trace.n_steps} "
+            f"method {name}: steps={trace.n_steps} "
             f"final_residual={trace.final_residual:.17g} final_error={last:.17g}"
         )
-    svg_dir = cfg.outputs.get("svg")
-    if svg_dir:
-        os.makedirs(svg_dir, exist_ok=True)
-        labels = [n for n, _ in named]
-        traces = [t for _, t in named]
-        emit_svg(traces, os.path.join(svg_dir, "trajectories.svg"),
-                 kind="trajectory", labels=labels)
-        if solution is not None:
-            emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
-                     kind="error", labels=labels)
-    _write_report(report_path, report_lines)
+    _write_report(cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")),
+                  report_lines)
     for line in report_lines:
         print(line)
     return EXIT_OK

@@ -80,24 +80,6 @@ def set_from_dict(obj) -> ConvexSet:
     raise ConfigError(f"unknown set type {kind!r}")
 
 
-def set_to_dict(cset: ConvexSet) -> dict:
-    if isinstance(cset, Hyperplane):
-        return {"type": "hyperplane", "normal": cset.normal.tolist(),
-                "offset": cset.offset}
-    if isinstance(cset, HalfSpace):
-        return {"type": "halfspace", "normal": cset.normal.tolist(),
-                "offset": cset.offset}
-    if isinstance(cset, AffineSubspace):
-        return {"type": "affine", "anchor": cset.anchor.tolist(),
-                "basis": cset.basis.tolist()}
-    if isinstance(cset, Ball):
-        return {"type": "ball", "center": cset.center.tolist(),
-                "radius": cset.radius}
-    if isinstance(cset, Box):
-        return {"type": "box", "lo": cset.lo.tolist(), "hi": cset.hi.tolist()}
-    raise UsageError(f"cannot serialize set of type {type(cset).__name__}")
-
-
 def operator_from_dict(obj, sets) -> Operator:
     """Build an operator from a projection/relax/compose tree."""
     op = _field(obj, "op", "operator spec", None)

@@ -51,6 +51,16 @@ class IterationConfig:
             raise UsageError(f"residual_tol must be positive, got {self.residual_tol}")
         if int(self.max_iter) < 0:
             raise UsageError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not callable(self.alpha):
+            try:
+                a = np.asarray(self.alpha)
+            except ValueError:  # a ragged nested sequence
+                a = np.asarray(None)
+            if a.dtype.kind not in "biuf" or a.ndim > 1:
+                raise UsageError("alpha must be a real number, a sequence of "
+                                 f"them or a callable, got {self.alpha!r}")
+            if a.ndim == 0:  # a 0-d array or numpy scalar is a constant
+                object.__setattr__(self, "alpha", float(a))
 
     def alpha_at(self, k: int) -> float:
         if callable(self.alpha):

@@ -59,16 +59,26 @@ class ConvexSet:
         return x
 
 
-class Hyperplane(ConvexSet):
-    """{x : <normal, x> = offset} with a nonzero normal."""
+class _Plane(ConvexSet):
+    """What Hyperplane and HalfSpace share: a nonzero normal and an offset."""
 
     def __init__(self, normal, offset: float):
         self.normal = _frozen(as_point(normal))
         self.offset = float(offset)
         self._nn = float(self.normal @ self.normal)
         if self._nn == 0.0:
-            raise UsageError("hyperplane normal must be nonzero")
+            raise UsageError(f"{self._what} normal must be nonzero")
         self.dim = self.normal.size
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(normal={self.normal.tolist()}, "
+                f"offset={self.offset})")
+
+
+class Hyperplane(_Plane):
+    """{x : <normal, x> = offset} with a nonzero normal."""
+
+    _what = "hyperplane"
 
     def project(self, x):
         x = self._coerce(x)
@@ -79,20 +89,11 @@ class Hyperplane(ConvexSet):
         x = self._coerce(x)
         return np.abs(x @ self.normal - self.offset) / np.sqrt(self._nn)
 
-    def __repr__(self):
-        return f"Hyperplane(normal={self.normal.tolist()}, offset={self.offset})"
 
-
-class HalfSpace(ConvexSet):
+class HalfSpace(_Plane):
     """{x : <normal, x> <= offset} with a nonzero normal."""
 
-    def __init__(self, normal, offset: float):
-        self.normal = _frozen(as_point(normal))
-        self.offset = float(offset)
-        self._nn = float(self.normal @ self.normal)
-        if self._nn == 0.0:
-            raise UsageError("half-space normal must be nonzero")
-        self.dim = self.normal.size
+    _what = "half-space"
 
     def project(self, x):
         x = self._coerce(x)
@@ -103,9 +104,6 @@ class HalfSpace(ConvexSet):
         x = self._coerce(x)
         viol = np.maximum(x @ self.normal - self.offset, 0.0)
         return viol / np.sqrt(self._nn)
-
-    def __repr__(self):
-        return f"HalfSpace(normal={self.normal.tolist()}, offset={self.offset})"
 
 
 class AffineSubspace(ConvexSet):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cutterkit import diagnostics
-from cutterkit.cli import main, paper_traces
+from cutterkit.cli import main
 from cutterkit.configio import read_trace_csv
 
 
@@ -65,10 +65,23 @@ def test_example_paper_outputs(tmp_path):
     assert counts == [31, 31, 31]
 
 
-def test_paper_traces_log_errors_strictly_decreasing():
-    for name, tr in paper_traces(30):
-        errs = np.asarray(tr.solution_errors)
+def test_paper_traces_log_errors_strictly_decreasing(tmp_path):
+    assert main(["example-paper", "--out", str(tmp_path)]) == 0
+    for name in ("map", "dr", "new"):
+        errs = np.asarray(read_trace_csv(str(tmp_path / f"{name}.csv")).solution_errors)
+        assert len(errs) == 31
         assert np.all(np.diff(np.log10(errs)) < 0), name
+
+
+def test_example_paper_warns_with_the_dr_note_on_dr_alone(tmp_path, capsys):
+    # after 5 steps every method is above 1e-2; the 33-step note is DR's
+    assert main(["example-paper", "--out", str(tmp_path), "--iters", "5"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "WARNING: map final error 2.740159e-01 >= 1e-2",
+        "WARNING: dr final error 4.871393e-01 >= 1e-2 "
+        "(DR needs 33 steps to cross 1e-2)",
+        "WARNING: new final error 6.215082e-01 >= 1e-2",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +114,17 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_run_replicating_example_paper_is_byte_identical(tmp_path):
-    paper_out = tmp_path / "paper"
-    assert main(["example-paper", "--out", str(paper_out)]) == 0
-    cfg = tmp_path / "cfg.json"
-    write_config(cfg)
-    assert main(["run", str(cfg)]) == 0
-    for name in ("map", "dr", "new"):
-        assert (tmp_path / "out" / f"{name}.csv").read_bytes() == \
-            (paper_out / f"{name}.csv").read_bytes()
+    # by step 1500 MAP has stopped on a zero residual (step 1292)
+    for iters in (30, 1500):
+        paper_out = tmp_path / f"paper{iters}"
+        assert main(["example-paper", "--out", str(paper_out),
+                     "--iters", str(iters)]) == 0
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, iterations=iters)
+        assert main(["run", str(cfg)]) == 0
+        for name in ("map", "dr", "new"):
+            assert (tmp_path / "out" / f"{name}.csv").read_bytes() == \
+                (paper_out / f"{name}.csv").read_bytes(), (iters, name)
 
 
 def test_run_exit_codes(tmp_path):

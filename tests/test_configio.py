@@ -6,7 +6,7 @@ import pytest
 from cutterkit import (AffineSubspace, Ball, Box, ConfigError, HalfSpace,
                        Hyperplane, Trace, UsageError)
 from cutterkit.configio import (load_config, operator_from_dict, parse_config,
-                                read_trace_csv, set_from_dict, set_to_dict,
+                                read_trace_csv, set_from_dict,
                                 write_trace_csv)
 
 
@@ -36,19 +36,26 @@ def base_doc():
 # set and operator specs
 
 def test_set_round_trip_all_types():
-    sets = [
-        Hyperplane([1.0, 2.0], 0.5),
-        HalfSpace([0.0, -1.0], 1.0),
-        AffineSubspace([0.0, 1.0], [[1.0, 0.0]]),
-        Ball([0.5, 0.5], 2.0),
-        Box([-1.0, -1.0], [1.0, 1.0]),
+    # each set type from a literal config dict, against the constructor
+    cases = [
+        ({"type": "hyperplane", "normal": [1, 2], "offset": 0.5},
+         Hyperplane([1.0, 2.0], 0.5)),
+        ({"type": "halfspace", "normal": [0, -1], "offset": 1},
+         HalfSpace([0.0, -1.0], 1.0)),
+        ({"type": "affine", "anchor": [0, 1], "basis": [[1, 0]]},
+         AffineSubspace([0.0, 1.0], [[1.0, 0.0]])),
+        ({"type": "ball", "center": [0.5, 0.5], "radius": 2},
+         Ball([0.5, 0.5], 2.0)),
+        ({"type": "box", "lo": [-1, -1], "hi": [1, 1]},
+         Box([-1.0, -1.0], [1.0, 1.0])),
     ]
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((50, 2))
-    for cset in sets:
-        clone = set_from_dict(set_to_dict(cset))
-        assert type(clone) is type(cset)
-        assert np.max(np.abs(clone.project(pts) - cset.project(pts))) < 1e-12
+    for spec, cset in cases:
+        built = set_from_dict(spec)
+        assert type(built) is type(cset)
+        assert repr(built) == repr(cset)
+        assert built.project(pts).tobytes() == cset.project(pts).tobytes()
 
 
 def test_set_from_dict_errors():

@@ -61,6 +61,29 @@ def test_alpha_policies():
         iterate(t, u, cfg)
 
 
+@pytest.mark.parametrize("alpha", ["x", "1.0", None, 1 + 2j, [[1.0]],
+                                   [[1.0], [1.0, 1.2]], [1.0, None]],
+                         ids=["string", "numeric-string", "none", "complex",
+                              "nested", "ragged", "none-entry"])
+def test_alpha_that_is_no_step_schedule_is_a_usage_error(alpha):
+    with pytest.raises(UsageError, match="^alpha must be "):
+        IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, alpha=alpha)
+
+
+def test_zero_d_alpha_is_a_constant():
+    t, u = new_method_ops()
+    runs = []
+    for alpha in (1.5, np.array(1.5), np.float64(1.5), np.array([1.5] * 4)):
+        cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=0.2,
+                              alpha=alpha, max_iter=4, residual_tol=1e-300)
+        runs.append(iterate(t, u, cfg).iterates.tobytes())
+    assert runs[1:] == runs[:-1]
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=0.2,
+                          alpha=np.array(1.9), max_iter=4)
+    with pytest.raises(UsageError, match=r"^step 0: 1.9 outside \[0.2, 1.8\]$"):
+        iterate(t, u, cfg)
+
+
 # ---------------------------------------------------------------------------
 # iterate
 
