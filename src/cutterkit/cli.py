@@ -28,10 +28,9 @@ from .engine import IterationConfig, Trace, iterate, run_dr, run_map
 from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
 from .geometry import AffineSubspace, Hyperplane, intersect_affine
-from .operators import compose, projection_operator, relax
+from .operators import projection_operator, relax
 from .svg import emit_svg
-from .theory import (RelaxationPair, delta_projections, demicontraction_rho,
-                     nu)
+from .theory import RelaxationPair, delta_projections, nu
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,7 +185,8 @@ def _verify_method(cfg, method, oracle, w, probe):
     """The probe reports of one method, in print order.
 
     A product method first gets its operator probes and, given an
-    intersection oracle and w = its projection of x0, the product probes.
+    intersection oracle and w = its projection of x0, the product probes,
+    all on images of the probe sample computed once for the method.
     Every method with an oracle then gets the Fejer and per-step gap
     probes on a run to residual 1e-10, and a product method the rate
     certificate on that run.
@@ -206,30 +206,11 @@ def _verify_method(cfg, method, oracle, w, probe):
     elif method.driver == "dr":  # (P_B)_2 (P_A)_2 is a 2-relaxed cutter
         n, epsilon = 2.0, 1.0
     else:
-        pair, t, u = method.pair, method.t, method.u
-        n, epsilon = nu(pair), method.epsilon
-        # membership samples for the single-operator checks
-        pts = probe.samples[:5]
-        fixed_a, fixed_b = a.project(pts), b.project(pts)
-        add("cutter.PA", diagnostics.cutter_check(
-            projection_operator(a), fixed_a, probe))
-        add("cutter.PB", diagnostics.cutter_check(
-            projection_operator(b), fixed_b, probe))
-        add("relaxed-cutter.T",
-            diagnostics.relaxed_cutter_check(t, pair.lam, fixed_a, probe))
-        add("relaxed-cutter.U",
-            diagnostics.relaxed_cutter_check(u, pair.mu, fixed_b, probe))
-        add("demicontraction.T",
-            diagnostics.demicontraction_check(
-                t, demicontraction_rho(pair.lam), fixed_a, probe))
-        add("demicontraction.U",
-            diagnostics.demicontraction_check(
-                u, demicontraction_rho(pair.mu), fixed_b, probe))
-        if w is not None:
-            add("product.cutter", diagnostics.cutter_check(
-                relax(compose(u, t), 1.0 / n), [w], probe))
-            add("lb1", diagnostics.lb1_check(t, u, pair, [w], probe))
-            add("lb2", diagnostics.lb2_check(t, u, pair, oracle, probe))
+        n, epsilon = nu(method.pair), method.epsilon
+        named, kappa_hat = diagnostics._product_probes(
+            a, b, method.t, method.u, method.pair, w, oracle, probe)
+        for name, rep in named:
+            add(name, rep)
 
     if w is None:
         add("product" if method.driver == "product" else "fejer",
@@ -242,7 +223,7 @@ def _verify_method(cfg, method, oracle, w, probe):
     add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle))
     add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon))
     if method.driver == "product":
-        kappa = diagnostics.pair_regularity_estimate(a, b, oracle, probe)
+        kappa = kappa_hat()
         rate_rep = diagnostics.rate_certificate(
             trace, trace.final, epsilon, delta_projections(method.pair, kappa), n)
         rate_rep.kappa_hat = kappa

@@ -22,9 +22,10 @@ import numpy as np
 
 from .engine import Trace
 from .errors import CutterKitError, EstimationError, UsageError
-from .geometry import _frozen, as_point
-from .operators import Operator
-from .theory import RelaxationPair, alpha_beta, nu, qlinear_rate, split_roots
+from .geometry import ConvexSet, _frozen, as_point
+from .operators import Operator, compose, projection_operator, relax
+from .theory import (RelaxationPair, alpha_beta, demicontraction_rho, nu,
+                     qlinear_rate, split_roots)
 
 MAX_RECORDED_VIOLATIONS = 20
 
@@ -244,8 +245,11 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
             name="lb2", passed=True, margin=math.inf, samples=0,
             seed=probe.seed, skipped=True, note="all samples degenerate",
         )
-    x = x[keep]
-    d = d[keep]
+    if not keep.all():
+        # the kept rows as a batch of their own: BLAS sums a row in an
+        # order that depends on its place in the batch, so rows of T(X)
+        # may differ from T of the kept rows in the last bit
+        x, d = x[keep], d[keep]
     tx = _eval_batch(t, x)
     utx = _eval_batch(u, tx)
     a = tx - x
@@ -277,17 +281,92 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     """kappa_hat = max over samples of d(x, A n B) / max{d(x, A), d(x, B)}.
 
     A lower bound on the true linear-regularity constant of the pair;
-    grows monotonically with the sample count.  intersection may be a
-    ConvexSet or a distance callable for the true A n B.
+    grows monotonically with the sample count.  a, b and intersection may
+    each be a ConvexSet or a distance callable (for the true A n B).
     """
     dist = getattr(intersection, "distance", intersection)
     x = probe.samples
-    dm = np.maximum(np.asarray(a.distance(x)), np.asarray(b.distance(x)))
+    dm = np.maximum(np.asarray(getattr(a, "distance", a)(x)),
+                    np.asarray(getattr(b, "distance", b)(x)))
     keep = dm > probe.tolerance
     if not np.any(keep):
         raise EstimationError("all samples are degenerate (max distance ~ 0)")
     di = np.asarray(dist(x[keep]), dtype=float)
     return float(np.max(di / dm[keep]))
+
+
+def _with_image(op: Operator, x, image) -> Operator:
+    """op, answering its evaluation on the array x itself with image.
+
+    x is held here, so its identity cannot pass to another array while
+    this operator lives.
+    """
+    fn = op._fn
+    return Operator(lambda v: image if v is x else fn(v), op.fix_distance,
+                    op.label, op.dim)
+
+
+def _with_distance(cset: ConvexSet, x, px):
+    """cset, or, if it measures distance as ||x - P(x)||, that distance
+    function answering on the array x itself from its projection px."""
+    if type(cset).distance is not ConvexSet.distance:
+        return cset  # its own formula, which needs no projection
+    dist = np.linalg.norm(x - px, axis=-1)
+    return lambda v: dist if v is x else cset.distance(v)
+
+
+def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
+                    probe: ProbeConfig):
+    """The sampling probes of the product method U T on the sets A, B, as
+    (name, report) pairs in print order, and a callable that gives its
+    kappa_hat: the operator probes, and, given w, a point of the
+    intersection, the product probes.
+
+    Each probe is a call of its public function, so whatever wraps those
+    (the benchmark's tracing) still sees every probe.  It runs on
+    operators that answer on the probe sample X with images evaluated
+    here once: P_A(X), P_B(X),
+    T(X), U(X) and U(T(X)).  P_A(X), P_B(X) and U(X) are dropped after
+    their last use (kappa_hat keeps ||X - P(X)|| where the set measures
+    distance that way), and T(X) and U(T(X)) when this returns.  The
+    images are the ones each probe would evaluate, so the reports are
+    the same bit for bit; lb2 reads them when it keeps every sample.
+    """
+    x = probe.samples
+    pts = x[:5]  # membership points for the single-operator checks
+    fixed_a, fixed_b = a.project(pts), b.project(pts)
+    named, dists = [], []
+    for name, cset, fixed in (("cutter.PA", a, fixed_a), ("cutter.PB", b, fixed_b)):
+        p = projection_operator(cset)
+        px = _eval_batch(p, x)
+        named.append((name, cutter_check(_with_image(p, x, px), fixed, probe)))
+        dists.append(_with_distance(cset, x, px))
+    del px
+    # from here on T answers on X, and U on X and later on T(X), from images
+    tx = _eval_batch(t, x)
+    t = _with_image(t, x, tx)
+    u_x = _with_image(u, x, _eval_batch(u, x))
+    named += [
+        ("relaxed-cutter.T", relaxed_cutter_check(t, pair.lam, fixed_a, probe)),
+        ("relaxed-cutter.U", relaxed_cutter_check(u_x, pair.mu, fixed_b, probe)),
+        ("demicontraction.T", demicontraction_check(
+            t, demicontraction_rho(pair.lam), fixed_a, probe)),
+        ("demicontraction.U", demicontraction_check(
+            u_x, demicontraction_rho(pair.mu), fixed_b, probe)),
+    ]
+    del u_x
+    if w is None:
+        return named, None
+    u = _with_image(u, tx, _eval_batch(u, tx))
+    named += [
+        # relax and compose evaluate T and U through their functions, so
+        # (UT)_{1/nu} is relax's own arithmetic on the shared U(T(X))
+        ("product.cutter", cutter_check(relax(compose(u, t), 1.0 / nu(pair)),
+                                        [w], probe)),
+        ("lb1", lb1_check(t, u, pair, [w], probe)),
+        ("lb2", lb2_check(t, u, pair, intersection, probe)),
+    ]
+    return named, lambda: pair_regularity_estimate(*dists, intersection, probe)
 
 
 def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,

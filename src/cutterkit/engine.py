@@ -100,6 +100,16 @@ class Trace:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
+def _norm(v) -> float:
+    """||v|| of a 1-d row: sqrt(v . v), bit for bit np.linalg.norm, or, for
+    a finite v whose square overflows (a norm above about 1.3e154),
+    math.hypot.  np.vdot, unlike @, warns on no overflow."""
+    sq = np.vdot(v, v)
+    if math.isfinite(sq) or not np.isfinite(v).all():
+        return math.sqrt(sq)
+    return math.hypot(*v)
+
+
 def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
     """The loop x <- x + c_k (W(x) - x), c_k = next(coeffs), recording the trace.
 
@@ -119,19 +129,17 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
         xs = np.array(iterates)
         errs = None
         if solution is not None:
-            # sqrt(r @ r) is np.linalg.norm of a 1-d row, bit for bit
-            errs = [math.sqrt(r @ r) for r in xs - solution]
+            errs = [_norm(r) for r in xs - solution]
         return Trace(xs, residuals, steps, errs)
 
     for k in range(int(max_iter)):
         dx = w(x) - x
-        res = math.sqrt(dx @ dx)
+        res = _norm(dx)
         if not math.isfinite(res):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = next(coeffs)
         x = x + coeff * dx
-        # a finite x . x proves x finite, else the exact test decides;
-        # np.vdot, unlike @, warns on no overflow
+        # a finite x . x proves x finite, else the exact test decides
         if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise DivergenceError(f"non-finite iterate at step {k}", trace())
         residuals.append(res)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cutterkit import diagnostics
 from cutterkit.cli import main
+from cutterkit.geometry import AffineSubspace
 from cutterkit.configio import read_trace_csv
 
 
@@ -439,15 +440,137 @@ PROBE p.fejer-dc PASS margin=8.33444e-23 samples=81 seed=-
 PROBE p.rate PASS margin=2.41492e-11 samples=81 seed=-
 """
 
+# a negative control: T is relaxed by 2.8 but declared with lambda 2.5
+MISLABELLED_T = {
+    "methods": [{"name": "bad", "driver": "product", "lambda": 2.5, "mu": 1.2,
+                 "alpha": 1.0, "epsilon": 0.5,
+                 "T": {"op": "relax", "lambda": 2.8,
+                       "of": {"op": "projection", "set": 0}}}],
+}
+MISLABELLED_T_PROBE_LINES = """\
+PROBE bad.cutter.PA PASS margin=-0 samples=2000 seed=11
+PROBE bad.cutter.PB PASS margin=-8.88178e-16 samples=2000 seed=11
+PROBE bad.relaxed-cutter.T FAIL margin=-3.29661 samples=2000 seed=11
+PROBE bad.relaxed-cutter.U PASS margin=-1.77636e-15 samples=2000 seed=11
+PROBE bad.demicontraction.T FAIL margin=-2.63729 samples=2000 seed=11
+PROBE bad.demicontraction.U PASS margin=-5.32907e-15 samples=2000 seed=11
+PROBE bad.product.cutter FAIL margin=-0.0988611 samples=2000 seed=11
+PROBE bad.lb1 PASS margin=0.000306875 samples=2000 seed=11
+PROBE bad.lb2 PASS margin=0.0289157 samples=2000 seed=11
+PROBE bad.fejer PASS margin=4.32875e-12 samples=171 seed=-
+PROBE bad.fejer-dc FAIL margin=-3.49414e-05 samples=85 seed=-
+PROBE bad.rate PASS margin=2.96202e-11 samples=85 seed=-
+"""
 
-@pytest.mark.parametrize("overrides, expected", [
-    ({}, PAPER_PROBE_LINES),
-    (AFFINE_D5, AFFINE_D5_PROBE_LINES),
-], ids=["paper", "affine-d5"])
-def test_verify_probe_lines_golden(tmp_path, capsys, overrides, expected):
+
+def affine_d50():
+    """Two 25-dimensional affine sets in R^50 meeting in a 5-dimensional
+    flat, with 2000 probe samples: the projections of the sample take the
+    matrix-matrix (gemm) path.  Built from exact rows (Pythagorean pairs),
+    so the config is the same on every machine."""
+    d = 50
+
+    def unit(i):
+        return [1.0 if j == i else 0.0 for j in range(d)]
+
+    turned = []
+    for i in range(20):
+        c, s = ((0.6, 0.8), (0.8, 0.6), (0.28, 0.96), (0.96, 0.28))[i % 4]
+        turned.append([c if j == 5 + i else s if j == 25 + i else 0.0
+                       for j in range(d)])
+    p = [((3 * j) % 7 - 3) / 4 for j in range(d)]
+    return {
+        "seed": 4,
+        "problem": {"sets": [
+            {"type": "affine", "anchor": p, "basis": [unit(i) for i in range(25)]},
+            {"type": "affine", "anchor": p,
+             "basis": [unit(i) for i in range(5)] + turned}]},
+        "x0": [pj + ((j % 5) - 2) / 8 for j, pj in enumerate(p)],
+        "iterations": 200,
+        "methods": [{"name": "p", "driver": "product", "lambda": 1.2,
+                     "mu": 2.8, "alpha": 1.0, "epsilon": 0.5}],
+        "probe": {"radius": 2.0, "samples": 2000},
+    }
+
+
+AFFINE_D50_PROBE_LINES = """\
+PROBE p.cutter.PA PASS margin=-7.65647e-17 samples=2000 seed=4
+PROBE p.cutter.PB PASS margin=-5.30825e-16 samples=2000 seed=4
+PROBE p.relaxed-cutter.T PASS margin=-1.77636e-15 samples=2000 seed=4
+PROBE p.relaxed-cutter.U PASS margin=-1.06581e-14 samples=2000 seed=4
+PROBE p.demicontraction.T PASS margin=-3.55271e-15 samples=2000 seed=4
+PROBE p.demicontraction.U PASS margin=-7.10543e-15 samples=2000 seed=4
+PROBE p.product.cutter PASS margin=0.255601 samples=2000 seed=4
+PROBE p.lb1 PASS margin=0.831349 samples=2000 seed=4
+PROBE p.lb2 PASS margin=1.76692 samples=2000 seed=4
+PROBE p.fejer PASS margin=2.90546e-12 samples=365 seed=-
+PROBE p.fejer-dc PASS margin=3.41158e-22 samples=182 seed=-
+PROBE p.rate PASS margin=2.28725e-11 samples=182 seed=-
+"""
+# two boxes with an explicit intersection box: 14 of the 300 samples lie
+# in it, so lb2 evaluates only the other 286 rows
+BOXES = {
+    "seed": 3,
+    "problem": {
+        "sets": [{"type": "box", "lo": [-1, -1, -1], "hi": [1, 1, 1]},
+                 {"type": "box", "lo": [0, -2, -0.5], "hi": [2, 2, 0.5]}],
+        "intersection": {"type": "box", "lo": [0, -1, -0.5], "hi": [1, 1, 0.5]}},
+    "x0": [3, 2, 1],
+    "methods": [{"name": "p", "driver": "product", "lambda": 2.5, "mu": 1.2,
+                 "alpha": 1.0, "epsilon": 0.5}],
+    "probe": {"radius": 2.0, "samples": 300},
+}
+BOXES_PROBE_LINES = """\
+PROBE p.cutter.PA PASS margin=-0 samples=300 seed=3
+PROBE p.cutter.PB PASS margin=-0 samples=300 seed=3
+PROBE p.relaxed-cutter.T PASS margin=-3.55271e-15 samples=300 seed=3
+PROBE p.relaxed-cutter.U PASS margin=-4.44089e-16 samples=300 seed=3
+PROBE p.demicontraction.T PASS margin=-1.77636e-15 samples=300 seed=3
+PROBE p.demicontraction.U PASS margin=-1.77636e-15 samples=300 seed=3
+PROBE p.product.cutter PASS margin=-0 samples=300 seed=3
+PROBE p.lb1 PASS margin=0 samples=300 seed=3
+PROBE p.lb2 PASS margin=0.00542999 samples=286 seed=3
+PROBE p.fejer PASS margin=2.32505e-11 samples=85 seed=-
+PROBE p.fejer-dc PASS margin=1.44157e-21 samples=42 seed=-
+PROBE p.rate PASS margin=2.32505e-11 samples=42 seed=-
+"""
+
+
+@pytest.mark.parametrize("overrides, expected, code", [
+    ({}, PAPER_PROBE_LINES, 0),
+    (AFFINE_D5, AFFINE_D5_PROBE_LINES, 0),
+    (MISLABELLED_T, MISLABELLED_T_PROBE_LINES, 4),
+    (affine_d50(), AFFINE_D50_PROBE_LINES, 0),
+    (BOXES, BOXES_PROBE_LINES, 0),
+], ids=["paper", "affine-d5", "mislabelled-t", "affine-d50", "boxes"])
+def test_verify_probe_lines_golden(tmp_path, capsys, overrides, expected, code):
     # the full lines, margins included, as the probes printed them when
-    # each drew its own ball sample
+    # each drew its own ball sample and evaluated its own operator images
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **overrides)
-    assert main(["verify", str(cfg)]) == 0
+    assert main(["verify", str(cfg)]) == code
     assert capsys.readouterr().out == expected
+
+
+def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):
+    # two affine sets meeting in a point: a product method's battery needs
+    # P_A(X), P_B(X), T(X), U(X) and U(T(X)) once each, and the
+    # intersection oracle (an AffineSubspace too) projects the sample for
+    # lb2 and for kappa_hat
+    sample_batches = []
+    project = AffineSubspace.project
+
+    def counted(self, x):
+        if np.ndim(x) == 2 and np.shape(x)[0] == 300:
+            sample_batches.append(self)
+        return project(self, x)
+
+    monkeypatch.setattr(AffineSubspace, "project", counted)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **dict(AFFINE_D5, problem={"sets": [
+        {"type": "affine", "anchor": [1, 0, 0, 0, 0],
+         "basis": [[0.6, 0.8, 0, 0, 0], [0, 0, 1, 0, 0]]},
+        {"type": "affine", "anchor": [0, 0, 0, 0, 2],
+         "basis": [[0, 0, 0, 1, 0], [0.8, 0, 0, 0, 0.6], [0, 1, 0, 0, 0]]}]}))
+    assert main(["verify", str(cfg)]) == 0
+    assert len(sample_batches) <= 7

@@ -310,6 +310,43 @@ def test_pair_regularity_perpendicular_lines():
     assert est > math.sqrt(2.0) - 0.02
 
 
+def test_one_probe_config_serves_fresh_operators_like_fresh_configs():
+    # a probe config shares its sample and nothing else: operators built
+    # one after another, each freed before the next (so an id may be
+    # reused), get the reports that fresh probe configs give them
+    inter = intersect_affine(LINE_A, LINE_B)
+
+    def battery(probe_for):
+        out = []
+        for lam in (0.5, 3.0, 1.5, 3.0, 0.5, 2.5):
+            t = relax(projection_operator(LINE_A), lam)
+            u = relax(projection_operator(LINE_B), 1.2)
+            pair = RelaxationPair(lam, 1.2)
+            probe = probe_for()
+            reps = [cutter_check(t, [ORIGIN], probe),
+                    relaxed_cutter_check(t, lam, [ORIGIN], probe),
+                    demicontraction_check(t, (lam - 2.0) / lam, [ORIGIN], probe),
+                    lb1_check(t, u, pair, [ORIGIN], probe),
+                    lb2_check(t, u, pair, inter, probe)]
+            out += [(r.line(), r.margin, len(r.violations)) for r in reps]
+            out.append(pair_regularity_estimate(LINE_A, LINE_B, inter, probe))
+            del t, u
+        return out
+
+    def fresh():
+        return ProbeConfig(center=ORIGIN, radius=2.0, sample_count=500, seed=9)
+
+    shared = fresh()
+    assert battery(lambda: shared) == battery(fresh)
+
+
+def test_pair_regularity_takes_distance_callables():
+    inter = intersect_affine(LINE_A, LINE_B)
+    assert pair_regularity_estimate(LINE_A.distance, LINE_B.distance,
+                                    inter.distance, PROBE) \
+        == pair_regularity_estimate(LINE_A, LINE_B, inter, PROBE)
+
+
 def test_pair_regularity_monotone_in_sample_count():
     inter = intersect_affine(LINE_A, LINE_B)
     vals = []

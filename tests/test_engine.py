@@ -303,14 +303,25 @@ def test_far_out_finite_start_on_the_fixed_set_warns_nothing():
     assert tr.residuals == [0.0]
 
 
-def test_steps_longer_than_about_1e154_read_as_non_finite():
-    # a known limit: ||W(x) - x||^2 overflows, so this finite step is
-    # reported as a non-finite operator value (README, engine)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(DivergenceError,
-                           match="^non-finite operator value at step 0$") as exc:
-            run_map(LINE_A, LINE_B, [0.0, 1e160], 5)
-    assert exc.value.trace.iterates.tobytes() == np.array([[0.0, 1e160]]).tobytes()
+def test_steps_longer_than_about_1e154_are_taken_without_warning():
+    # ||W(x) - x||^2 and ||x - x*||^2 overflow here; the residuals and the
+    # solution errors fall back to a scaled norm instead of reading as
+    # non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run_map(LINE_A, LINE_B, [0.0, 1e160], 5, solution=ORIGIN)
+        far = run_map(LINE_A, LINE_B, [1e160, 1e160], 5, solution=ORIGIN)
+    # one step of length 1e160 onto the common point, then a zero step
+    assert tr.residuals == [1e160, 0.0]
+    assert tr.solution_errors == [1e160, 0.0, 0.0]
+    assert far.n_steps == 5
+    steps = np.diff(far.iterates, axis=0)
+    assert far.residuals == pytest.approx([math.hypot(*s) for s in steps],
+                                          rel=1e-12)
+    assert far.solution_errors == [math.hypot(*x) for x in far.iterates]
+    # MAP contracts by cos^2(pi/6) per step once on B
+    assert far.solution_errors[-1] == pytest.approx(
+        far.solution_errors[1] * 0.75 ** 4, rel=1e-12)
 
 
 def test_nan_iterate_raises_with_the_partial_trace():
