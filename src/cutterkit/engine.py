@@ -102,10 +102,11 @@ class Trace:
 
 def _norm(v) -> float:
     """||v|| of a 1-d row: sqrt(v . v), bit for bit np.linalg.norm, or, for
-    a finite v whose square overflows (a norm above about 1.3e154),
-    math.hypot.  np.vdot, unlike @, warns on no overflow."""
+    a finite nonzero v whose square leaves the normal range (a norm above
+    about 1.3e154 or below about 1.5e-154), math.hypot.  np.vdot, unlike @
+    and ndarray.dot, warns on no overflow."""
     sq = np.vdot(v, v)
-    if math.isfinite(sq) or not np.isfinite(v).all():
+    if 2.2250738585072014e-308 <= sq < math.inf or not np.isfinite(v).all():
         return math.sqrt(sq)
     return math.hypot(*v)
 
@@ -132,6 +133,9 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
             errs = [_norm(r) for r in xs - solution]
         return Trace(xs, residuals, steps, errs)
 
+    # bound >= ||x||: while it stays below 1e300 no entry of x can have
+    # overflowed; past it (or NaN) the exact test decides and resets it
+    bound = _norm(x)
     for k in range(int(max_iter)):
         dx = w(x) - x
         res = _norm(dx)
@@ -139,9 +143,11 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = next(coeffs)
         x = x + coeff * dx
-        # a finite x . x proves x finite, else the exact test decides
-        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
-            raise DivergenceError(f"non-finite iterate at step {k}", trace())
+        bound += abs(coeff) * res
+        if not bound < 1e300:
+            if not np.isfinite(x).all():
+                raise DivergenceError(f"non-finite iterate at step {k}", trace())
+            bound = _norm(x)
         residuals.append(res)
         steps.append(coeff)
         iterates.append(x)

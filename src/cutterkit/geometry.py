@@ -65,7 +65,7 @@ class _Plane(ConvexSet):
     def __init__(self, normal, offset: float):
         self.normal = _frozen(as_point(normal))
         self.offset = float(offset)
-        self._nn = float(self.normal @ self.normal)
+        self._nn = float(self.normal.dot(self.normal))
         if self._nn == 0.0:
             raise UsageError(f"{self._what} normal must be nonzero")
         self.dim = self.normal.size
@@ -82,12 +82,12 @@ class Hyperplane(_Plane):
 
     def project(self, x):
         x = self._coerce(x)
-        s = (x @ self.normal - self.offset) / self._nn
+        s = (x.dot(self.normal) - self.offset) / self._nn
         return x - s[..., None] * self.normal
 
     def distance(self, x):
         x = self._coerce(x)
-        return np.abs(x @ self.normal - self.offset) / np.sqrt(self._nn)
+        return np.abs(x.dot(self.normal) - self.offset) / np.sqrt(self._nn)
 
 
 class HalfSpace(_Plane):
@@ -97,12 +97,12 @@ class HalfSpace(_Plane):
 
     def project(self, x):
         x = self._coerce(x)
-        s = np.maximum((x @ self.normal - self.offset) / self._nn, 0.0)
+        s = np.maximum((x.dot(self.normal) - self.offset) / self._nn, 0.0)
         return x - s[..., None] * self.normal
 
     def distance(self, x):
         x = self._coerce(x)
-        viol = np.maximum(x @ self.normal - self.offset, 0.0)
+        viol = np.maximum(x.dot(self.normal) - self.offset, 0.0)
         return viol / np.sqrt(self._nn)
 
 
@@ -122,7 +122,7 @@ class AffineSubspace(ConvexSet):
             v = as_point(v, self.dim).copy()
             for _ in range(2):
                 for q in vecs:
-                    v = v - (v @ q) * q
+                    v = v - v.dot(q) * q
             n = np.linalg.norm(v)
             if n > ORTHO_TOL:
                 vecs.append(v / n)
@@ -132,7 +132,7 @@ class AffineSubspace(ConvexSet):
     def project(self, x):
         x = self._coerce(x)
         z = x - self.anchor
-        return self.anchor + (z @ self._q) @ self.basis
+        return self.anchor + z.dot(self._q).dot(self.basis)
 
     def __repr__(self):
         return (

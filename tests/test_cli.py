@@ -74,6 +74,20 @@ def test_paper_traces_log_errors_strictly_decreasing(tmp_path):
         assert np.all(np.diff(np.log10(errs)) < 0), name
 
 
+@pytest.mark.parametrize("iters, rows", [(2000, (2001, 2001, 2001)),
+                                         (4000, (2399, 4001, 3334))])
+def test_example_paper_long_runs_exit_0_with_strictly_decreasing_errors(
+        tmp_path, iters, rows):
+    # the errors pass 1.5e-154, where their squares leave the normal range;
+    # map and new stop once their residual reaches 1e-300
+    assert main(["example-paper", "--out", str(tmp_path),
+                 "--iters", str(iters)]) == 0
+    for name, n in zip(("map", "dr", "new"), rows):
+        tr = read_trace_csv(str(tmp_path / f"{name}.csv"))
+        assert len(tr.solution_errors) == n, name
+        assert np.all(np.diff(tr.solution_errors) < 0), name
+
+
 def test_example_paper_warns_with_the_dr_note_on_dr_alone(tmp_path, capsys):
     # after 5 steps every method is above 1e-2; the 33-step note is DR's
     assert main(["example-paper", "--out", str(tmp_path), "--iters", "5"]) == 0
@@ -115,7 +129,7 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_run_replicating_example_paper_is_byte_identical(tmp_path):
-    # by step 1500 MAP has stopped on a zero residual (step 1292)
+    # by step 1500 the errors of MAP are below 1.5e-154
     for iters in (30, 1500):
         paper_out = tmp_path / f"paper{iters}"
         assert main(["example-paper", "--out", str(paper_out),

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -322,6 +323,61 @@ def test_steps_longer_than_about_1e154_are_taken_without_warning():
     # MAP contracts by cos^2(pi/6) per step once on B
     assert far.solution_errors[-1] == pytest.approx(
         far.solution_errors[1] * 0.75 ** 4, rel=1e-12)
+
+
+def test_norms_below_about_1e154_fall_back_to_hypot():
+    # ||x - x*||^2 and ||W(x) - x||^2 leave the normal range below about
+    # 1.5e-154; there the norms are math.hypot of the row, not the square
+    # root of a subnormal or zero square
+    tr = run_map(LINE_A, LINE_B, X0, 5000, solution=ORIGIN)
+    tiny = math.sqrt(sys.float_info.min)
+    errs, xs = tr.solution_errors, tr.iterates
+    assert min(errs) < 1e-300
+    # strictly decreasing while the iterates are normal floats
+    assert np.all(np.diff([e for e in errs if e >= 1e-300]) < 0)
+    low = [k for k, e in enumerate(errs) if e < tiny]
+    assert low and [errs[k] for k in low] == [math.hypot(*xs[k]) for k in low]
+    w = compose(projection_operator(LINE_B), projection_operator(LINE_A))
+    low = [k for k, r in enumerate(tr.residuals) if r < tiny]
+    assert low and [tr.residuals[k] for k in low] == \
+        [math.hypot(*(w(xs[k]) - xs[k])) for k in low]
+    # MAP from (1, 0) on A has ||x^k|| = cos^{2k-1}(pi/6) for k >= 1
+    c = math.cos(math.pi / 6)
+    for k, e in enumerate(errs[1:], start=1):
+        if e < 1e-300:
+            break
+        assert e == pytest.approx(c ** (2 * k - 1), rel=1e-12), k
+
+
+def _flip_run(x0):
+    # W(x) = -x with the step 1.4 gives x <- -1.8 x, so ||x|| grows by 1.8
+    # per step; 1.4 (W(x) - x) overflows while W(x) - x is still finite
+    flip = Operator(lambda x: -x, label="flip")
+    cfg = IterationConfig(pair=RelaxationPair(1.0, 1.0), x0=x0, epsilon=0.1,
+                          alpha=1.4, max_iter=100, residual_tol=1e-300)
+    return iterate_reformulated(flip, identity(), cfg, solution=ORIGIN)
+
+
+# from 4e307 the second step overflows; from 1e301 every step is past 1e300;
+# from 1e290 the running norm bound crosses 1e300 in mid-run
+@pytest.mark.parametrize("x0, step", [(4e307, 1), (1e301, 27), (1e290, 70)])
+def test_overflowing_iterate_raises_at_its_step_with_the_partial_trace(x0, step):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError,
+                           match=f"^non-finite iterate at step {step}$") as exc:
+            _flip_run([x0, 0.0])
+    # the step's own overflow, and no warning from the finiteness test
+    assert [(type(w.message), str(w.message)) for w in caught] == [
+        (RuntimeWarning, "overflow encountered in multiply")]
+    xs = [np.array([x0, 0.0])]
+    for _ in range(step):
+        xs.append(xs[-1] + 1.4 * (-xs[-1] - xs[-1]))
+    tr = exc.value.trace
+    assert tr.iterates.tobytes() == np.array(xs).tobytes()
+    assert tr.residuals == [abs(2.0 * x[0]) for x in xs[:-1]]
+    assert tr.step_sizes == [1.4] * step
+    assert tr.solution_errors == [abs(x[0]) for x in xs]
 
 
 def test_nan_iterate_raises_with_the_partial_trace():

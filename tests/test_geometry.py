@@ -190,3 +190,81 @@ def test_hyperplane_projection_is_idempotent(x0, x1):
     p = h.project(np.array([x0, x1]))
     assert np.max(np.abs(h.project(p) - p)) < 1e-12
     assert h.distance(p) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit reference: the products written with the @ operator
+
+def _ref_project(cset, x):
+    if isinstance(cset, AffineSubspace):
+        return cset.anchor + ((x - cset.anchor) @ cset.basis.T) @ cset.basis
+    s = (x @ cset.normal - cset.offset) / float(cset.normal @ cset.normal)
+    if isinstance(cset, HalfSpace):
+        s = np.maximum(s, 0.0)
+    return x - s[..., None] * cset.normal
+
+
+def _ref_distance(cset, x):
+    if isinstance(cset, AffineSubspace):
+        return np.linalg.norm(x - _ref_project(cset, x), axis=-1)
+    v = x @ cset.normal - cset.offset
+    if isinstance(cset, HalfSpace):
+        v = np.maximum(v, 0.0)
+    return np.abs(v) / np.sqrt(float(cset.normal @ cset.normal))
+
+
+def _ref_gram_schmidt(basis, dim):
+    vecs = []
+    for v in basis:
+        v = np.array(v, dtype=float)
+        for _ in range(2):
+            for q in vecs:
+                v = v - (v @ q) * q
+        n = np.linalg.norm(v)
+        if n > 1e-12:
+            vecs.append(v / n)
+    return np.array(vecs) if vecs else np.zeros((0, dim))
+
+
+def _flat_sets(rng, d):
+    return [Hyperplane(rng.standard_normal(d), rng.standard_normal()),
+            HalfSpace(rng.standard_normal(d), rng.standard_normal())] + [
+        AffineSubspace(rng.standard_normal(d), rng.standard_normal((k, d)))
+        for k in sorted({0, 1, d // 2, d})]
+
+
+@pytest.mark.parametrize("d", (2, 5, 20, 50))
+def test_projections_match_the_matmul_expressions_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for cset in _flat_sets(rng, d):
+        for n in (2, 7, 300):
+            x = rng.standard_normal((n, d)) * 3.0
+            for pts in (x[0].copy(), x, np.asfortranarray(x)):
+                assert cset.project(pts).tobytes() == \
+                    _ref_project(cset, pts).tobytes(), (cset, pts.shape)
+                assert cset.distance(pts).tobytes() == \
+                    _ref_distance(cset, pts).tobytes(), (cset, pts.shape)
+
+
+@pytest.mark.parametrize("d, k", [(3, 3), (5, 4), (20, 7), (50, 25)])
+def test_gram_schmidt_matches_the_matmul_loop_bit_for_bit(d, k):
+    rng = np.random.default_rng(d + k)
+    vs = rng.standard_normal((k, d))
+    vs = np.vstack([vs, vs[0] - 0.5 * vs[-1]])  # one dependent vector
+    sub = AffineSubspace(np.zeros(d), vs)
+    assert sub.basis.shape == (min(k, d), d)
+    assert sub.basis.tobytes() == _ref_gram_schmidt(vs, d).tobytes()
+
+
+@pytest.mark.parametrize("d", (5, 20, 50))
+def test_column_strided_batches_project_like_their_contiguous_copies(d):
+    # a batch with a column stride goes to BLAS as a contiguous copy, so
+    # its bits do not depend on its layout
+    rng = np.random.default_rng(d)
+    for cset in _flat_sets(rng, d):
+        for n in (2, 300):
+            view = (rng.standard_normal((n, 2 * d)) * 3.0)[:, ::2]
+            assert cset.project(view).tobytes() == \
+                cset.project(view.copy()).tobytes(), (cset, n)
+            assert cset.distance(view).tobytes() == \
+                cset.distance(view.copy()).tobytes(), (cset, n)
