@@ -15,6 +15,7 @@ the step schedule c_k:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import count, repeat
 
@@ -49,8 +50,7 @@ class IterationConfig:
             raise UsageError(f"epsilon must be positive, got {self.epsilon}")
         if not self.residual_tol > 0:
             raise UsageError(f"residual_tol must be positive, got {self.residual_tol}")
-        if int(self.max_iter) < 0:
-            raise UsageError(f"max_iter must be >= 0, got {self.max_iter}")
+        object.__setattr__(self, "max_iter", _count(self.max_iter))
         if not callable(self.alpha):
             try:
                 a = np.asarray(self.alpha)
@@ -100,6 +100,16 @@ class Trace:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
+def _count(n) -> int:
+    """A step count as an int, by the config files' rule for integers: 3
+    and 3.0 pass; a fraction, NaN, inf, a bool or a string do not."""
+    if isinstance(n, float) and n.is_integer() or \
+            isinstance(n, numbers.Integral) and not isinstance(n, bool):
+        if n >= 0:
+            return int(n)
+    raise UsageError(f"max_iter must be an integer >= 0, got {n!r}")
+
+
 def _norm(v) -> float:
     """||v|| of a 1-d row: sqrt(v . v), bit for bit np.linalg.norm, or, for
     a finite nonzero v whose square leaves the normal range (a norm above
@@ -117,8 +127,7 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
     Stops after max_iter transitions or once ||W(x^k) - x^k|| <=
     residual_tol (checked after the transition is recorded).
     """
-    if int(max_iter) < 0:
-        raise UsageError(f"max_iter must be >= 0, got {max_iter}")
+    max_iter = _count(max_iter)
     x = x0
     if solution is not None:
         solution = as_point(solution, x.size)
@@ -136,13 +145,18 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
     # bound >= ||x||: while it stays below 1e300 no entry of x can have
     # overflowed; past it (or NaN) the exact test decides and resets it
     bound = _norm(x)
-    for k in range(int(max_iter)):
+    last = None
+    for k in range(max_iter):
         dx = w(x) - x
         res = _norm(dx)
         if not math.isfinite(res):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = next(coeffs)
-        x = x + coeff * dx
+        # a 0-d array multiplies faster than a float, with the same bits;
+        # it is built once per distinct value, so once for a constant step
+        if coeff != last:
+            last, factor = coeff, np.array(coeff)
+        x = x + factor * dx
         bound += abs(coeff) * res
         if not bound < 1e300:
             if not np.isfinite(x).all():

@@ -2,10 +2,15 @@
 
 Points are plain float64 numpy vectors.  Every set type supports
 ``project`` and ``distance`` for a single point of shape ``(d,)`` or a
-batch of shape ``(n, d)``; batches are projected row by row.
+batch of shape ``(n, d)``; batches are projected row by row.  A single
+point takes the cheapest numpy calls that give the batch expression's
+bits: a scalar times a vector, a plain reduction and Python comparisons.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -65,9 +70,17 @@ class _Plane(ConvexSet):
     def __init__(self, normal, offset: float):
         self.normal = _frozen(as_point(normal))
         self.offset = float(offset)
-        self._nn = float(self.normal.dot(self.normal))
-        if self._nn == 0.0:
+        if not self.normal.any():
             raise UsageError(f"{self._what} normal must be nonzero")
+        with np.errstate(over="ignore"):
+            self._nn = float(self.normal.dot(self.normal))
+        # project divides by normal . normal and distance takes its root:
+        # an inf or a subnormal would give wrong projections silently
+        if not sys.float_info.min <= self._nn < math.inf:
+            raise UsageError(
+                f"{self._what} normal . normal = {self._nn!r} is outside the "
+                "normal float range (2.2e-308 to 1.8e308); rescale the normal "
+                "and the offset")
         self.dim = self.normal.size
 
     def __repr__(self):
@@ -83,6 +96,8 @@ class Hyperplane(_Plane):
     def project(self, x):
         x = self._coerce(x)
         s = (x.dot(self.normal) - self.offset) / self._nn
+        if x.ndim == 1:
+            return x - s * self.normal
         return x - s[..., None] * self.normal
 
     def distance(self, x):
@@ -97,8 +112,11 @@ class HalfSpace(_Plane):
 
     def project(self, x):
         x = self._coerce(x)
-        s = np.maximum((x.dot(self.normal) - self.offset) / self._nn, 0.0)
-        return x - s[..., None] * self.normal
+        s = (x.dot(self.normal) - self.offset) / self._nn
+        if x.ndim == 1:
+            # np.maximum(s, 0.0): -0.0 gives +0.0 and NaN propagates
+            return x - (s if s > 0.0 or s != s else 0.0) * self.normal
+        return x - np.maximum(s, 0.0)[..., None] * self.normal
 
     def distance(self, x):
         x = self._coerce(x)
@@ -154,13 +172,16 @@ class Ball(ConvexSet):
     def project(self, x):
         x = self._coerce(x)
         d = x - self.center
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        n = _norms(d)
+        if x.ndim == 1:
+            return self.center + (self.radius / n if n > self.radius else 1.0) * d
+        n = n[..., None]
         scale = np.where(n > self.radius, self.radius / np.where(n > 0, n, 1.0), 1.0)
         return self.center + scale * d
 
     def distance(self, x):
         x = self._coerce(x)
-        return np.maximum(np.linalg.norm(x - self.center, axis=-1) - self.radius, 0.0)
+        return np.maximum(_norms(x - self.center) - self.radius, 0.0)
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -178,10 +199,26 @@ class Box(ConvexSet):
 
     def project(self, x):
         x = self._coerce(x)
-        return np.clip(x, self.lo, self.hi)
+        return x.clip(self.lo, self.hi)
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
+
+
+def _norms(d):
+    """np.linalg.norm(d, axis=-1) bit for bit, a float for a (d,) row;
+    where the square of a finite row overflows, math.hypot of the row."""
+    if d.ndim == 1:
+        # np.vdot does not warn on overflow; below 1e300 no square or sum can
+        if np.vdot(d, d) < 1e300:
+            return math.sqrt(np.add.reduce(d * d))
+        return float(_norms(d[None])[0])
+    with np.errstate(over="ignore"):
+        n = np.sqrt(np.add.reduce(d * d, axis=-1))
+    for i in zip(*np.nonzero(np.isinf(n))):
+        if np.isfinite(d[i]).all():
+            n[i] = math.hypot(*d[i])
+    return n
 
 
 def _constraint_rows(cset):

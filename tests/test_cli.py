@@ -168,6 +168,21 @@ def test_run_exit_codes(tmp_path):
     assert main(["run", str(cfg)]) == 5
 
 
+@pytest.mark.parametrize("normal", ([1e200, 0], [1e-170, 0]), ids=("huge", "tiny"))
+@pytest.mark.parametrize("kind", ("hyperplane", "halfspace"))
+def test_plane_normal_outside_the_float_range_is_a_validation_error(
+        tmp_path, capsys, kind, normal):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"sets": [
+        {"type": kind, "normal": normal, "offset": 0},
+        {"type": "hyperplane", "normal": [1, 1], "offset": 0}]})
+    for command in ("run", "verify"):
+        assert main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "outside the normal float range" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 PRODUCT = {"driver": "product", "lambda": 3.0, "mu": 1.0, "epsilon": 1.0}
 
 

@@ -214,6 +214,34 @@ def test_run_drivers_reject_negative_counts():
         run_dr(LINE_A, LINE_B, X0, -1)
 
 
+BAD_COUNTS = (-1, -1.0, 2.5, "3", True, False, math.nan, math.inf, None, [3])
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+def test_run_drivers_reject_counts_that_are_no_integers(n):
+    # the config files' rule for integers: 3 and 3.0 pass, nothing else
+    for driver in (run_map, run_dr):
+        with pytest.raises(UsageError, match="^max_iter must be an integer >= 0"):
+            driver(LINE_A, LINE_B, X0, n)
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+def test_iteration_config_rejects_max_iter_that_is_no_integer(n):
+    with pytest.raises(UsageError, match="^max_iter must be an integer >= 0"):
+        IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, max_iter=n)
+
+
+@pytest.mark.parametrize("n", (3, 3.0, np.int64(3), np.float64(3.0)), ids=repr)
+def test_integral_step_counts_run_that_many_steps(n):
+    t, u = new_method_ops()
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=0.2,
+                          max_iter=n, residual_tol=1e-300)
+    assert cfg.max_iter == 3 and type(cfg.max_iter) is int
+    assert iterate(t, u, cfg).n_steps == 3
+    assert run_map(LINE_A, LINE_B, X0, n, residual_tol=1e-300).n_steps == 3
+    assert run_dr(LINE_A, LINE_B, X0, n, residual_tol=1e-300).n_steps == 3
+
+
 # ---------------------------------------------------------------------------
 # trace bookkeeping
 

@@ -268,3 +268,117 @@ def test_column_strided_batches_project_like_their_contiguous_copies(d):
                 cset.project(view.copy()).tobytes(), (cset, n)
             assert cset.distance(view).tobytes() == \
                 cset.distance(view.copy()).tobytes(), (cset, n)
+
+
+# ---------------------------------------------------------------------------
+# single points: the (d,) paths give the bits of the batch expressions
+
+def _batch_expression(cset, x):
+    """project as the batch path writes it, applied to one (d,) point."""
+    if isinstance(cset, (Hyperplane, HalfSpace)):
+        s = (x.dot(cset.normal) - cset.offset) / cset._nn
+        if isinstance(cset, HalfSpace):
+            s = np.maximum(s, 0.0)
+        return x - s[..., None] * cset.normal
+    if isinstance(cset, Ball):
+        d = x - cset.center
+        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        scale = np.where(n > cset.radius, cset.radius / np.where(n > 0, n, 1.0), 1.0)
+        return cset.center + scale * d
+    return np.clip(x, cset.lo, cset.hi)
+
+
+def _point_cases(rng, d):
+    """(set, points): for each set, points inside, outside and on its
+    boundary, with +-0.0 entries and a NaN coordinate."""
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    plane_n = rng.standard_normal(d)
+    lo = rng.standard_normal(d)
+    hi = lo + rng.random(d)
+    sets = {
+        "hyperplane": Hyperplane(plane_n, rng.standard_normal()),
+        "halfspace": HalfSpace(plane_n, rng.standard_normal()),
+        # on its boundary x[0] = 0.5 exactly, so s is 0
+        "halfspace-e0": HalfSpace(e0, 0.5),
+        # s = -5e-324 / 4 rounds to -0.0, which the clamp makes +0.0
+        "halfspace-tiny": HalfSpace(2.0 * e0, 5e-324),
+        "ball": Ball(rng.standard_normal(d), 1.0 + rng.random()),
+        # ||e0|| = 1 and ||(3, 4, 0, ...)|| = 5 exactly: on the sphere
+        "ball-origin": Ball(np.zeros(d), 1.0),
+        "ball-5": Ball(np.zeros(d), 5.0),
+        "box": Box(lo, hi),
+        "box-zero": Box(np.full(d, -0.0), np.full(d, 0.0)),
+    }
+    out = []
+    for name, cset in sets.items():
+        pts = [rng.standard_normal(d) * scale for scale in (0.1, 1.0, 10.0, 1e3)]
+        pts += [np.zeros(d), np.full(d, -0.0), np.where(rng.random(d) < 0.5, -0.0, 0.0)]
+        if isinstance(cset, Ball):
+            pts += [cset.center.copy(), e0.copy(),
+                    np.r_[3.0, 4.0, np.zeros(d - 2)] if d > 2 else np.array([3.0, 4.0])]
+        elif isinstance(cset, Box):
+            pts += [cset.lo.copy(), cset.hi.copy(), np.where(rng.random(d) < 0.5, lo, hi)]
+        else:
+            on = rng.standard_normal(d)
+            on[0] = 0.5
+            pts += [cset.project(rng.standard_normal(d)), on]
+        nan = rng.standard_normal(d)
+        nan[d // 2] = np.nan
+        pts.append(nan)
+        out.append((name, cset, pts))
+    return out
+
+
+@pytest.mark.parametrize("d", (2, 5, 20, 50))
+def test_point_projections_match_the_batch_expressions_bit_for_bit(d):
+    rng = np.random.default_rng(100 + d)
+    for name, cset, pts in _point_cases(rng, d):
+        for x in pts:
+            got = cset.project(x)
+            assert got.shape == (d,), name
+            assert got.tobytes() == _batch_expression(cset, x).tobytes(), (name, x)
+            # and the one-row batch agrees with the point
+            assert cset.project(x[None])[0].tobytes() == got.tobytes(), (name, x)
+
+
+@pytest.mark.parametrize("normal", ([1e200, 0.0], [1e-170, 0.0], [1e154, 1e154],
+                                    [1e-155, 1e-155]))
+@pytest.mark.parametrize("kind", (Hyperplane, HalfSpace))
+def test_plane_normals_whose_square_leaves_the_normal_range_are_rejected(kind, normal):
+    with pytest.raises(UsageError, match="outside the normal float range"):
+        kind(normal, 0.0)
+
+
+def test_plane_normals_at_the_edges_of_the_range_are_kept():
+    for normal in ([1e153, 0.0], [1.5e-154, 0.0]):
+        h = Hyperplane(normal, 0.0)
+        assert h.distance([1.0, 0.0]) == 1.0
+        assert h.project([1.0, 1.0]).tolist() == [0.0, 1.0]
+    with pytest.raises(UsageError, match="must be nonzero"):
+        Hyperplane([0.0, -0.0], 0.0)
+
+
+def test_ball_projects_far_points_onto_the_sphere():
+    ball = Ball([0.0, 0.0], 1.0)
+    # the square of 1e200 overflows; the point path falls back to hypot
+    assert ball.project([1e200, 0.0]).tolist() == [1.0, 0.0]
+    assert ball.project([0.0, -1e300]).tolist() == [0.0, -1.0]
+    assert ball.distance([1e200, 0.0]) == 1e200
+    # the batch path does so row by row, leaving the other rows' bits
+    x = np.array([[1e200, 0.0], [3.0, 4.0], [0.0, -1e300], [0.3, 0.4]])
+    got = ball.project(x)
+    assert got[[0, 2]].tolist() == [[1.0, 0.0], [0.0, -1.0]]
+    assert got[[1, 3]].tobytes() == _batch_expression(ball, x[[1, 3]]).tobytes()
+    assert ball.distance(x).tolist() == [1e200, 4.0, 1e300, 0.0]
+
+
+def test_ball_points_near_the_overflow_keep_their_bits():
+    # ||d||^2 between 1e300 and the largest float: the square does not
+    # overflow, so the result is the plain expression's
+    ball = Ball([1.0, -2.0, 0.5], 3.0)
+    for x in ([1e150, 1e150, 0.0], [-3e153, 2e153, 1e153], [1.2e154, 0.0, 0.0]):
+        x = np.array(x)
+        assert ball.project(x).tobytes() == _batch_expression(ball, x).tobytes()
+        assert ball.project(x[None]).tobytes() == \
+            _batch_expression(ball, x[None]).tobytes()

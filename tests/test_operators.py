@@ -56,6 +56,23 @@ def test_relax_three_on_x_axis():
     assert np.max(np.abs(out[:, 1] + 2.0 * pts[:, 1])) < 1e-12
 
 
+@pytest.mark.parametrize("lam", (0.3, 1.5, 2.0, 2.2, 3.7))
+def test_relax_gives_the_bits_of_the_float_expression(lam):
+    # relax multiplies by lam held as a 0-d array; the bits must be those
+    # of the Python float lam
+    rng = np.random.default_rng(7)
+    for cset in (Hyperplane(rng.standard_normal(5), 0.4), Ball(np.zeros(5), 1.0),
+                 AffineSubspace(np.ones(5), rng.standard_normal((2, 5)))):
+        r = relax(projection_operator(cset), lam)
+        assert r.label == f"(P[{type(cset).__name__}])_{lam:g}"
+        x = rng.standard_normal((30, 5)) * 3.0
+        x[0, 1] = -0.0
+        x[1, 2] = np.nan
+        for pts in (x, *x[:3]):
+            want = pts + lam * (cset.project(pts) - pts)
+            assert r(pts).tobytes() == want.tobytes(), (cset, pts)
+
+
 def test_relax_zero_is_identity_with_full_fixed_set():
     r = relax(projection_operator(LINE_A), 0.0)
     x = np.array([1.0, 2.0])
