@@ -27,7 +27,7 @@ from .configio import ExperimentConfig, MethodSpec
 from .engine import IterationConfig, Trace, iterate, run_dr, run_map
 from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
-from .geometry import AffineSubspace, Hyperplane, intersect_affine
+from .geometry import AffineSubspace, Hyperplane, _solve_affine, intersect_affine
 from .operators import projection_operator, relax
 from .svg import emit_svg
 from .theory import RelaxationPair, delta_projections, nu
@@ -90,15 +90,34 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
     return EXIT_OK
 
 
+def _affine_pair(cfg):
+    """(sets[0], sets[1]) when both are affine, else None."""
+    pair = cfg.sets[0], cfg.sets[1]
+    if all(isinstance(s, (Hyperplane, AffineSubspace)) for s in pair):
+        return pair
+    return None
+
+
 def _intersection_oracle(cfg):
     """Explicit intersection set if configured, else the affine
     intersection when both sets admit one."""
     if cfg.intersection is not None:
         return cfg.intersection
-    a, b = cfg.sets[0], cfg.sets[1]
-    if isinstance(a, (Hyperplane, AffineSubspace)) and isinstance(
-            b, (Hyperplane, AffineSubspace)):
-        return intersect_affine(a, b)  # InfeasibleError propagates (exit 3)
+    pair = _affine_pair(cfg)
+    return intersect_affine(*pair) if pair else None  # InfeasibleError: exit 3
+
+
+def _unique_point(cfg):
+    """The single point of the intersection oracle, or None when it is
+    not one point.  The affine intersection is only solved for: its
+    null-space rows are counted, not orthonormalized into a basis."""
+    pair = _affine_pair(cfg)
+    if cfg.intersection is None and pair:
+        anchor, null_rows = _solve_affine(*pair)  # InfeasibleError: exit 3
+        return None if len(null_rows) else anchor
+    oracle = cfg.intersection
+    if isinstance(oracle, AffineSubspace) and oracle.basis.shape[0] == 0:
+        return oracle.anchor
     return None
 
 
@@ -126,11 +145,7 @@ def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
     there is one; write each trace's CSV into csv_dir and, given svg_dir,
     the trajectory plot and, given that point, the error plot, titled by
     titles.  Returns [(name, trace), ...]."""
-    oracle = _intersection_oracle(cfg)
-    solution = None
-    if oracle is not None and isinstance(oracle, AffineSubspace) \
-            and oracle.basis.shape[0] == 0:
-        solution = oracle.anchor  # unique intersection point
+    solution = _unique_point(cfg)
     os.makedirs(csv_dir, exist_ok=True)
     named = []
     for method in cfg.methods:

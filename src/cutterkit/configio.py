@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -61,20 +60,20 @@ def set_from_dict(obj) -> ConvexSet:
     kind = _field(obj, "type", "set spec", None)
     where = f"{kind!r} set"
 
-    def get(key, convert=_VECTOR):
+    def get(key, convert=_vector):
         return _field(obj, key, where, convert)
 
     if kind == "hyperplane":
-        return Hyperplane(get("normal"), get("offset", float))
+        return Hyperplane(get("normal"), get("offset", _float))
     if kind == "halfspace":
-        return HalfSpace(get("normal"), get("offset", float))
+        return HalfSpace(get("normal"), get("offset", _float))
     if kind == "affine":
-        basis = _field(obj, "basis", where, _VECTOR, ())
+        basis = _field(obj, "basis", where, _vector, ())
         if basis.size and basis.ndim != 2:
             raise ConfigError(f"{where}: basis must be a list of vectors")
         return AffineSubspace(get("anchor"), basis)
     if kind == "ball":
-        return Ball(get("center"), get("radius", float))
+        return Ball(get("center"), get("radius", _float))
     if kind == "box":
         return Box(get("lo"), get("hi"))
     raise ConfigError(f"unknown set type {kind!r}")
@@ -127,18 +126,39 @@ class ExperimentConfig:
     probe_samples: int = 2000
 
 
+def _numeric(value):
+    """A JSON value, if neither it nor an item of its nested lists is a
+    string or a boolean: float() and np.asarray would read "3" and true as
+    numbers.  A list is tested by the set of its item types."""
+    kinds = set(map(type, value)) if type(value) is list else {type(value)}
+    if kinds & {str, bool}:
+        raise TypeError(f"{value!r} is not a number or a list of numbers")
+    if list in kinds:
+        for item in value:
+            _numeric(item)
+    return value
+
+
+def _float(value) -> float:
+    return float(_numeric(value))
+
+
 def _integer(value) -> int:
-    """int(value) for an integral value: 3 and 3.0 pass, 3.7 does not."""
+    """int(value) for an integral number: 3 and 3.0 pass, 3.7 does not."""
+    value = _numeric(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not integral")
     return int(value)
 
 
-_VECTOR = partial(np.asarray, dtype=float)
-_KINDS = {float: "a number", _integer: "an integer"}
+def _vector(value) -> np.ndarray:
+    return np.asarray(_numeric(value), dtype=float)
 
 
-def _field(obj, key: str, where: str, convert=float, default=None):
+_KINDS = {_float: "a number", _integer: "an integer"}
+
+
+def _field(obj, key: str, where: str, convert=_float, default=None):
     """convert(obj[key]), or convert(default) when obj lacks key and a
     default is given (convert None: the value as it is).  A non-object
     obj, a missing key or a value convert rejects is a ConfigError."""
@@ -189,7 +209,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(raw_sets, list) or len(raw_sets) < 2:
         raise UsageError("problem.sets must list at least two sets")
     sets = [set_from_dict(s) for s in raw_sets]
-    x0 = as_point(_field(doc, "x0", "config", _VECTOR))
+    x0 = as_point(_field(doc, "x0", "config", _vector))
     for i, s in enumerate(sets):
         if s.dim != x0.size:
             raise UsageError(
@@ -223,7 +243,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                            _field(m, "mu", where))
             except UsageError as exc:
                 raise UsageError(f"{where}: {exc}") from None
-            alpha = _field(m, "alpha", where, _VECTOR, 1.0)
+            alpha = _field(m, "alpha", where, _vector, 1.0)
             if alpha.ndim > 1 or alpha.size == 0 or not np.all(np.isfinite(alpha)):
                 raise ConfigError(f"{where}: alpha must be a finite number or "
                                   f"a non-empty list of them, got {m['alpha']!r}")
@@ -252,7 +272,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         intersection=intersection,
         outputs=outputs,
         seed=_field(doc, "seed", "config", _integer, 0),
-        probe_radius=_field(probe, "radius", "probe", float, 2.0),
+        probe_radius=_field(probe, "radius", "probe", _float, 2.0),
         probe_samples=_field(probe, "samples", "probe", _integer, 2000),
     )
 

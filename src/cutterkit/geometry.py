@@ -129,20 +129,29 @@ class AffineSubspace(ConvexSet):
 
     An empty basis gives a single point.  Input basis vectors are run
     through modified Gram-Schmidt with one re-orthogonalization pass;
-    vectors that are dependent to within ``ORTHO_TOL`` are dropped.
+    a vector whose remainder is at most ``ORTHO_TOL`` times its own norm
+    is dependent and dropped.  A vector whose ``v . v`` is not a normal
+    float (zero, subnormal or overflowing) raises UsageError.
     """
 
     def __init__(self, anchor, basis=()):
         self.anchor = _frozen(as_point(anchor))
         self.dim = self.anchor.size
         vecs = []
-        for v in basis:
-            v = as_point(v, self.dim).copy()
+        for i, v in enumerate(basis):
+            v = as_point(v, self.dim)
+            vv = float(np.vdot(v, v))  # np.vdot does not warn on overflow
+            # the norms below would overflow to inf or lose the vector
+            # to underflow, and either would give wrong projections silently
+            if not sys.float_info.min <= vv < math.inf:
+                raise UsageError(
+                    f"affine basis vector {i}: v . v = {vv!r} is outside the "
+                    "normal float range (2.2e-308 to 1.8e308); rescale it")
             for _ in range(2):
                 for q in vecs:
                     v = v - v.dot(q) * q
             n = np.linalg.norm(v)
-            if n > ORTHO_TOL:
+            if n > ORTHO_TOL * math.sqrt(vv):
                 vecs.append(v / n)
         self.basis = _frozen(np.array(vecs) if vecs else np.zeros((0, self.dim)))
         self._q = self.basis.T  # (d, k), orthonormal columns
@@ -241,12 +250,14 @@ def _constraint_rows(cset):
     )
 
 
-def intersect_affine(a, b, tol: float = 1e-9) -> AffineSubspace:
-    """Intersection of two affine sets as an AffineSubspace.
+def _solve_affine(a, b, tol: float = 1e-9):
+    """(anchor, null_rows) of the intersection of two affine sets.
 
-    The anchor is the least-squares solution of the stacked constraints
-    and the basis is an orthonormal null-space basis.  Raises
-    InfeasibleError when the sets do not meet.
+    The anchor is the least-squares solution of the stacked constraints,
+    validated as a finite point; the null rows are the trailing right
+    singular vectors of the stacked matrix, orthonormal up to rounding,
+    and none when the sets meet in one point.  Raises InfeasibleError
+    when the sets do not meet.
     """
     ma, ca = _constraint_rows(a)
     mb, cb = _constraint_rows(b)
@@ -254,10 +265,17 @@ def intersect_affine(a, b, tol: float = 1e-9) -> AffineSubspace:
         raise UsageError("dimension mismatch between the two affine sets")
     m = np.vstack([ma, mb])
     c = np.concatenate([ca, cb])
-    anchor, *_ = np.linalg.lstsq(m, c, rcond=None)
+    anchor = as_point(np.linalg.lstsq(m, c, rcond=None)[0])
     if np.linalg.norm(m @ anchor - c) > tol * (1.0 + np.linalg.norm(c)):
         raise InfeasibleError("affine sets have empty intersection")
     _, s, vt = np.linalg.svd(m)
     cutoff = (s[0] if s.size else 0.0) * max(m.shape) * np.finfo(float).eps
     rank = int(np.sum(s > cutoff))
-    return AffineSubspace(anchor, vt[rank:])
+    return anchor, vt[rank:]
+
+
+def intersect_affine(a, b, tol: float = 1e-9) -> AffineSubspace:
+    """Intersection of two affine sets as an AffineSubspace: the
+    least-squares anchor and an orthonormal null-space basis.  Raises
+    InfeasibleError when the sets do not meet."""
+    return AffineSubspace(*_solve_affine(a, b, tol))

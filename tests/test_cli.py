@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cutterkit import diagnostics
+from cutterkit import configio, diagnostics
 from cutterkit.cli import main
 from cutterkit.geometry import AffineSubspace
 from cutterkit.configio import read_trace_csv
@@ -221,6 +222,133 @@ def test_integral_floats_are_accepted_as_integers(tmp_path, capsys):
     assert "samples=100 seed=11" in capsys.readouterr().out
 
 
+# ---------------------------------------------------------------------------
+# run needs only the unique intersection point
+
+def _two_planes_d50():
+    rng = np.random.default_rng(13)
+    return {"problem": {"sets": [
+        {"type": "hyperplane", "normal": rng.standard_normal(50).tolist(),
+         "offset": 0.5},
+        {"type": "hyperplane", "normal": rng.standard_normal(50).tolist(),
+         "offset": -1.0}]},
+        "x0": (3.0 * rng.standard_normal(50)).tolist()}
+
+
+FLAT_RUNS = {  # affine pairs whose intersection is a flat, not a point
+    "two-planes-d50": _two_planes_d50(),
+    "affine-d5-meeting-in-a-plane": {"problem": {"sets": [
+        {"type": "affine", "anchor": [1, 0, 0, 0, 0],
+         "basis": [[0.6, 0.8, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]},
+        {"type": "affine", "anchor": [1.6, 0.8, 0, 0, 0],
+         "basis": [[0.6, 0.8, 0, 0, 0], [0, 0, 0.8, 0, 0.6], [0, 0, 0, 1, 0]]}]},
+        "x0": [2.0, -1.0, 0.5, 1.0, 3.0]},
+    "coincident-lines": {"problem": {"sets": [
+        {"type": "hyperplane", "normal": [0, 1], "offset": 0},
+        {"type": "hyperplane", "normal": [0, 2], "offset": 0}]},
+        "x0": [1.0, 2.0]},
+}
+# sha256 of every output file, recorded before run stopped building the
+# intersection's null-space basis
+FLAT_RUN_DIGESTS = {
+    "two-planes-d50": {
+        "dr.csv":
+            "b6fd2fc143f87d12502ebb379432be9f9441add28815abae9ac86e82367844af",
+        "map.csv":
+            "2d64bb011a589d543c6a357314c09bd0c0cd49a2c956a8009d798f53395fd2ea",
+        "new.csv":
+            "54b7c91cb03fcbcb1dc024eefc5f5d5e3b077d3edf826909e580a5065843875c",
+        "report.txt":
+            "8cab53e88f8eeefd4433fffdf147c259539cc52f6af48b4a5e44eaed0043a2bd",
+    },
+    "affine-d5-meeting-in-a-plane": {
+        "dr.csv":
+            "36058098f2346d1828c6a9d46a6f396444dd784b3c18d05bf48a55d9c4eb18e3",
+        "map.csv":
+            "aa1d1c958a81ea17845f7752541ffe8602e0a739c79c8929d980266f705229c3",
+        "new.csv":
+            "4de5c33b26eba863cb853c469d58b102c404efd2c3d31f1394b6a46f018afad1",
+        "report.txt":
+            "50594fbb56c141f8a2a84f63c67abb8fc44482697f544cdbac6e4b7102e6d7af",
+    },
+    "coincident-lines": {
+        "dr.csv":
+            "7ebab7fbc24d413a20a65bc33319a560ade1dab24f4b4740263edc652160c847",
+        "map.csv":
+            "05a04ee8fcbb9af01af8ed61b0ae939836f3a3255c100c1ddd1ee76d6d579eff",
+        "new.csv":
+            "8c1333c9107bffbf1b910c521cd9cf56e1aeb2e2a15e921ead47bdde7665da59",
+        "report.txt":
+            "33547b68f8d5ac7031f8202a68d1d7909b363bbca8f1a618466c92ab060518e6",
+        "trajectories.svg":
+            "4b11b46b6cce190f93a5e458292e43f1da6d6c3eb82013ac4755a4f1a6d5f06c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", FLAT_RUNS)
+def test_run_on_a_flat_intersection_builds_no_basis(tmp_path, monkeypatch,
+                                                     name):
+    monkeypatch.chdir(tmp_path)
+    outputs = {"csv": "out", "report": "out/report.txt"}
+    if len(FLAT_RUNS[name]["x0"]) == 2:  # only d = 2 has a trajectory plot
+        outputs["svg"] = "out"
+    write_config(tmp_path / "cfg.json", iterations=20, outputs=outputs,
+                 **FLAT_RUNS[name])
+    bases = []
+    init = AffineSubspace.__init__
+
+    def counted(self, anchor, basis=()):
+        bases.append(len(basis))
+        init(self, anchor, basis)
+
+    monkeypatch.setattr(AffineSubspace, "__init__", counted)
+    configio.load_config("cfg.json")
+    of_the_config = list(bases)
+    bases.clear()
+    assert main(["run", "cfg.json"]) == 0
+    assert bases == of_the_config  # the config's own sets, nothing else
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted((tmp_path / "out").iterdir())}
+    assert digests == FLAT_RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("sets, message", [
+    ([{"type": "hyperplane", "normal": [1, 0], "offset": 0},
+      {"type": "hyperplane", "normal": [2, 0], "offset": 1}],
+     "empty intersection"),
+    ([{"type": "affine", "anchor": [0, 0, 0], "basis": [[1, 0, 0], [0, 1, 0]]},
+      {"type": "affine", "anchor": [0, 0, 1], "basis": [[1, 1, 0]]}],
+     "empty intersection"),
+    # the least-squares point overflows
+    ([{"type": "hyperplane", "normal": [1, 0], "offset": 1e308},
+      {"type": "hyperplane", "normal": [1, 1e-10], "offset": 0}],
+     "non-finite"),
+], ids=["parallel-planes", "disjoint-affine", "overflowing-anchor"])
+def test_affine_pairs_without_a_finite_common_point_are_validation_errors(
+        tmp_path, capsys, sets, message):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"sets": sets}, x0=[1.0] * len(sets[0].get(
+        "normal", sets[0].get("anchor"))))
+    for command in ("run", "verify"):
+        assert main([command, str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("basis", ([[1e200, 0]], [[1e-200, 0]], [[0, 0]]))
+def test_affine_basis_vector_outside_the_float_range_is_a_validation_error(
+        tmp_path, capsys, basis):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"sets": [
+        {"type": "affine", "anchor": [0, 0], "basis": basis},
+        {"type": "hyperplane", "normal": [1, 1], "offset": 0}]})
+    for command in ("run", "verify"):
+        assert main([command, str(cfg)]) == 3
+        assert "outside the normal float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def _set_field(doc, path, value):
     """Replace doc[path[0]][path[1]]... by value."""
     for key in path[:-1]:
@@ -254,6 +382,29 @@ MALFORMED = {  # id: (path, value, the field the message names)
     "fractional-T-set": (("methods", 2, "T"),
                          dict(RELAX_T, of={"op": "projection", "set": 0.5}),
                          "set"),
+    # numeric strings and booleans are not numbers, at any depth
+    "numeric-string-iterations": (("iterations",), "3", "iterations"),
+    "bool-iterations": (("iterations",), True, "iterations"),
+    "numeric-string-seed": (("seed",), "7", "seed"),
+    "bool-seed": (("seed",), False, "seed"),
+    "numeric-string-lambda": (("methods", 2, "lambda"), "3.0", "lambda"),
+    "bool-mu": (("methods", 2, "mu"), True, "mu"),
+    "numeric-string-epsilon": (("methods", 2, "epsilon"), "1", "epsilon"),
+    "bool-alpha": (("methods", 2, "alpha"), True, "alpha"),
+    "numeric-string-alpha-entry": (("methods", 2, "alpha"), [1.0, "1"], "alpha"),
+    "numeric-string-x0-entry": (("x0",), ["1", 0], "x0"),
+    "bool-x0-entry": (("x0",), [True, 0], "x0"),
+    "numeric-string-offset": (SET_0 + ("offset",), "0", "offset"),
+    "bool-normal-entry": (SET_0 + ("normal",), [False, True], "normal"),
+    "nested-bool-basis-entry": (SET_0, {"type": "affine", "anchor": [0, 0],
+                                        "basis": [[True, 0]]}, "basis"),
+    "numeric-string-probe-samples": (("probe",), {"samples": "100"}, "samples"),
+    "bool-probe-samples": (("probe",), {"samples": True}, "samples"),
+    "numeric-string-probe-radius": (("probe",), {"radius": "2"}, "radius"),
+    "bool-T-set": (("methods", 2, "T"),
+                   dict(RELAX_T, of={"op": "projection", "set": False}), "set"),
+    "numeric-string-relax-lambda": (("methods", 2, "T"),
+                                    dict(RELAX_T, **{"lambda": "3"}), "lambda"),
 }
 
 

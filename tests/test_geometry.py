@@ -382,3 +382,80 @@ def test_ball_points_near_the_overflow_keep_their_bits():
         assert ball.project(x).tobytes() == _batch_expression(ball, x).tobytes()
         assert ball.project(x[None]).tobytes() == \
             _batch_expression(ball, x[None]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# affine bases: scale-safe construction; intersect_affine keeps its bits
+
+def _ref_intersect_affine(a, b):
+    """intersect_affine as one function: stacked constraints, lstsq,
+    the SVD rank and the Gram-Schmidt loop with its absolute threshold."""
+    rows = []
+    for cset in (a, b):
+        if isinstance(cset, Hyperplane):
+            rows.append((cset.normal[None, :], np.array([cset.offset])))
+        elif cset.basis.shape[0] == 0:
+            rows.append((np.eye(cset.dim), np.eye(cset.dim) @ cset.anchor))
+        else:
+            u = np.linalg.svd(cset.basis.T, full_matrices=True)[0]
+            m = u[:, cset.basis.shape[0]:].T
+            rows.append((m, m @ cset.anchor))
+    m = np.vstack([r[0] for r in rows])
+    c = np.concatenate([r[1] for r in rows])
+    anchor = np.linalg.lstsq(m, c, rcond=None)[0]
+    _, s, vt = np.linalg.svd(m)
+    rank = int(np.sum(s > s[0] * max(m.shape) * np.finfo(float).eps))
+    return anchor, _ref_gram_schmidt(vt[rank:], m.shape[1])
+
+
+def _intersection_cases():
+    rng = np.random.default_rng(7)
+    cases = [
+        (LINE_A, Hyperplane([-math.sin(math.pi / 6), math.cos(math.pi / 6)], 0.0)),
+        (AffineSubspace([1.0, 0.0, 2.0], [[1.0, 1.0, 0.0]]),) * 2,
+        (Hyperplane([0.0, 0.0, 1.0], 0.0),
+         AffineSubspace([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])),
+        (LINE_A, LINE_B),
+    ]
+    for d in (12, 50):
+        cases.append((Hyperplane(rng.standard_normal(d), rng.standard_normal()),
+                      Hyperplane(rng.standard_normal(d), rng.standard_normal())))
+        p = rng.standard_normal(d)
+        cases.append((AffineSubspace(p, rng.standard_normal((d // 2, d))),
+                      AffineSubspace(p, rng.standard_normal((d // 2 + 2, d)))))
+    return cases
+
+
+@pytest.mark.parametrize("a, b", _intersection_cases())
+def test_intersect_affine_keeps_its_anchor_and_basis_bits(a, b):
+    anchor, basis = _ref_intersect_affine(a, b)
+    inter = intersect_affine(a, b)
+    assert inter.anchor.tobytes() == anchor.tobytes()
+    assert inter.basis.shape == basis.shape
+    assert inter.basis.tobytes() == basis.tobytes()
+
+
+@pytest.mark.parametrize("basis", ([[1e200, 0.0]], [[1e-200, 0.0]], [[0.0, 0.0]],
+                                   [[1.0, 0.0], [1e155, 1e155]],
+                                   [[1e-155, 1e-155]]))
+def test_affine_basis_vectors_whose_square_leaves_the_normal_range_are_rejected(basis):
+    with pytest.raises(UsageError, match="outside the normal float range"):
+        AffineSubspace([0.0, 0.0], basis)
+
+
+@pytest.mark.parametrize("scale", (1e154, 1.5e-154, 1e-100, 1e100))
+def test_affine_basis_vectors_of_any_normal_scale_span_their_line(scale):
+    sub = AffineSubspace([0.0, 0.0], [[scale, 0.0]])
+    assert sub.basis.tolist() == [[1.0, 0.0]]
+    assert sub.project([3.0, 4.0]).tolist() == [3.0, 0.0]
+
+
+def test_affine_basis_dependence_is_relative_to_each_vector():
+    # remainders of 1e-10 and 1e-13 of the vector's own norm
+    big = AffineSubspace(np.zeros(2), [[1e100, 0.0], [1e100, 1e90]])
+    assert big.basis.shape[0] == 2
+    small = AffineSubspace(np.zeros(2), [[1e-100, 0.0], [1e-100, 1e-113]])
+    assert small.basis.tolist() == [[1.0, 0.0]]
+    # a unit-scale remainder at the threshold keeps the absolute rule
+    assert AffineSubspace(np.zeros(2), [[1.0, 0.0], [1.0, 1e-13]]).basis.shape[0] == 1
+    assert AffineSubspace(np.zeros(2), [[1.0, 0.0], [1.0, 1e-11]]).basis.shape[0] == 2
