@@ -302,12 +302,19 @@ def _write_lines(path: str, lines) -> None:
 
 def write_trace_csv(path: str, trace: Trace) -> None:
     """Write a trace in the canonical CSV schema (17 significant digits),
-    one %-template per row."""
+    one %-template per row.  Raises UsageError unless the trace has one
+    residual per transition and, if any, one solution error per iterate."""
     n, d = trace.iterates.shape
+    if len(trace.residuals) != n - 1:
+        raise UsageError(f"trace has {n} iterates but {len(trace.residuals)} "
+                         f"residuals; expected {n - 1}")
+    if trace.solution_errors is not None and len(trace.solution_errors) != n:
+        raise UsageError(f"trace has {n} iterates but "
+                         f"{len(trace.solution_errors)} solution errors")
     cols = ["k"] + [f"x_{j}" for j in range(d)] + ["residual"]
     row = ",".join(["%d"] + ["%.17g"] * d + ["%s"])
     res = ["%.17g" % r for r in trace.residuals]
-    rows = zip(range(n), trace.iterates.tolist(), res + [""] * (n - len(res)))
+    rows = zip(range(n), trace.iterates.tolist(), res + [""])
     if trace.solution_errors is None:
         body = [row % (k, *x, r) for k, x, r in rows]
     else:

@@ -71,7 +71,9 @@ def sample_ball(probe: ProbeConfig) -> np.ndarray:
     g = rng.standard_normal((int(probe.sample_count), d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     radii = probe.radius * rng.random(int(probe.sample_count)) ** (1.0 / d)
-    return probe.center + radii[:, None] * g
+    g *= radii[:, None]
+    g += probe.center
+    return g
 
 
 @dataclass
@@ -164,6 +166,22 @@ def _dot(a, b):
     return np.einsum("nd,nd->n", a, b)
 
 
+# The two row-wise distances below hold one (n, d) temporary, a - b, and
+# drop it on return, so a probe never keeps two differences alive at once.
+
+def _dist2(a, b):
+    """||a - b||^2 per row, as _dot of the difference with itself."""
+    r = a - b
+    return _dot(r, r)
+
+
+def _dist(a, b):
+    """||a - b|| per row: np.linalg.norm(a - b, axis=-1), bit for bit."""
+    r = a - b
+    r *= r
+    return np.sqrt(np.add.reduce(r, axis=-1))
+
+
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
     """Certify <z - T(x), x - T(x)> <= 0 over sampled x and supplied z."""
     def margins(zs, x, tx):
@@ -196,8 +214,7 @@ def demicontraction_check(t: Operator, rho: float, fixed_sample,
     def margins(zs, x, tx):
         a = tx - x
         aa = _dot(a, a)
-        return [_dot(xz, xz) + rho * aa - _dot(tz, tz)
-                for xz, tz in ((x - z, tx - z) for z in zs)]
+        return [_dist2(x, z) + rho * aa - _dist2(tx, z) for z in zs]
 
     return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe, margins)
 
@@ -212,9 +229,15 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     sign = 1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0
 
     def margins(zs, x, tx, utx):
-        c = utx - x
-        comb = s1 * (tx - x) + sign * s2 * (utx - tx)
+        # comb is built in place and reduced before c exists
+        comb = tx - x
+        comb *= s1
+        b = utx - tx
+        b *= sign * s2
+        comb += b
         rhs = _dot(comb, comb)
+        del comb, b
+        c = utx - x
         return [_dot(z - x, c) - rhs for z in zs]
 
     return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, margins)
@@ -252,11 +275,8 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
         x, d = x[keep], d[keep]
     tx = _eval_batch(t, x)
     utx = _eval_batch(u, tx)
-    a = tx - x
-    b = utx - tx
-    c = utx - x
-    biggest = np.maximum(_dot(a, a), _dot(b, b))
-    margins = np.linalg.norm(c, axis=1) - coef * biggest / d
+    biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
+    margins = _dist(utx, x) - coef * biggest / d
     return _report("lb2", margins, x, probe.tolerance, probe.seed)
 
 
@@ -273,8 +293,8 @@ def regularity_modulus_estimate(t: Operator, probe: ProbeConfig) -> float:
     keep = d > probe.tolerance
     if not np.any(keep):
         raise EstimationError("all samples are degenerate (on the fixed set)")
-    step = np.linalg.norm(_eval_batch(t, x[keep]) - x[keep], axis=1)
-    return float(np.min(step / d[keep]))
+    x = x[keep]
+    return float(np.min(_dist(_eval_batch(t, x), x) / d[keep]))
 
 
 def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
@@ -291,7 +311,7 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     keep = dm > probe.tolerance
     if not np.any(keep):
         raise EstimationError("all samples are degenerate (max distance ~ 0)")
-    di = np.asarray(dist(x[keep]), dtype=float)
+    di = np.asarray(dist(x if keep.all() else x[keep]), dtype=float)
     return float(np.max(di / dm[keep]))
 
 
@@ -311,7 +331,7 @@ def _with_distance(cset: ConvexSet, x, px):
     function answering on the array x itself from its projection px."""
     if type(cset).distance is not ConvexSet.distance:
         return cset  # its own formula, which needs no projection
-    dist = np.linalg.norm(x - px, axis=-1)
+    dist = _dist(x, px)
     return lambda v: dist if v is x else cset.distance(v)
 
 

@@ -265,12 +265,15 @@ def _solve_affine(a, b, tol: float = 1e-9):
         raise UsageError("dimension mismatch between the two affine sets")
     m = np.vstack([ma, mb])
     c = np.concatenate([ca, cb])
-    anchor = as_point(np.linalg.lstsq(m, c, rcond=None)[0])
+    # lstsq's rank counts the singular values above s_max * max(m.shape)
+    # * eps; a second factorization is needed only for the null rows
+    anchor, _, rank, _ = np.linalg.lstsq(m, c, rcond=None)
+    anchor = as_point(anchor)
     if np.linalg.norm(m @ anchor - c) > tol * (1.0 + np.linalg.norm(c)):
         raise InfeasibleError("affine sets have empty intersection")
-    _, s, vt = np.linalg.svd(m)
-    cutoff = (s[0] if s.size else 0.0) * max(m.shape) * np.finfo(float).eps
-    rank = int(np.sum(s > cutoff))
+    if rank == m.shape[1]:
+        return anchor, np.empty((0, m.shape[1]))
+    _, _, vt = np.linalg.svd(m)
     return anchor, vt[rank:]
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,41 @@ def test_run_on_a_flat_intersection_builds_no_basis(tmp_path, monkeypatch,
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / "out").iterdir())}
     assert digests == FLAT_RUN_DIGESTS[name]
+
+
+def _point_pair_d50():
+    """Two 25-dimensional affine sets in R^50 meeting in one point: the
+    stacked constraint matrix is 50 x 50 and has full rank."""
+    d = 50
+    p = [((3 * j) % 7 - 3) / 4 for j in range(d)]
+    pairs = ((0.6, 0.8), (0.8, 0.6), (0.28, 0.96), (0.96, 0.28))
+    turned = [[pairs[i % 4][0] if j == i else pairs[i % 4][1] if j == 25 + i
+               else 0.0 for j in range(d)] for i in range(25)]
+    return {"problem": {"sets": [
+        {"type": "affine", "anchor": p,
+         "basis": [[1.0 if j == i else 0.0 for j in range(d)]
+                   for i in range(25)]},
+        {"type": "affine", "anchor": p, "basis": turned}]},
+        "x0": [pj + ((j % 5) - 2) / 8 for j, pj in enumerate(p)]}
+
+
+def test_run_on_a_point_intersection_factors_the_stacked_matrix_once(
+        tmp_path, monkeypatch):
+    # lstsq's rank tells a point from a flat; only a flat needs the null
+    # rows of a second factorization
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, iterations=20, **_point_pair_d50())
+    assert main(["run", str(cfg)]) == 0
+    assert shapes.count((50, 25)) == 2  # each set's own constraint rows
+    assert (50, 50) not in shapes
 
 
 @pytest.mark.parametrize("sets, message", [
@@ -687,6 +723,46 @@ PROBE p.fejer PASS margin=2.90546e-12 samples=365 seed=-
 PROBE p.fejer-dc PASS margin=3.41158e-22 samples=182 seed=-
 PROBE p.rate PASS margin=2.28725e-11 samples=182 seed=-
 """
+# a negative control at d = 50: method p's T is relaxed by 1.6 but
+# declared with lambda 1.2 (its product then diverges), method q's U by
+# 3.1 but declared with mu 2.8
+def affine_d50_mislabelled():
+    cfg = affine_d50()
+    method = cfg["methods"][0]
+    cfg["methods"] = [
+        dict(method, T={"op": "relax", "lambda": 1.6,
+                        "of": {"op": "projection", "set": 0}}),
+        dict(method, name="q", U={"op": "relax", "lambda": 3.1,
+                                  "of": {"op": "projection", "set": 1}})]
+    return cfg
+
+
+AFFINE_D50_MISLABELLED_PROBE_LINES = """\
+PROBE p.cutter.PA PASS margin=-7.65647e-17 samples=2000 seed=4
+PROBE p.cutter.PB PASS margin=-5.30825e-16 samples=2000 seed=4
+PROBE p.relaxed-cutter.T FAIL margin=-2.05077 samples=2000 seed=4
+PROBE p.relaxed-cutter.U PASS margin=-1.06581e-14 samples=2000 seed=4
+PROBE p.demicontraction.T FAIL margin=-3.41796 samples=2000 seed=4
+PROBE p.demicontraction.U PASS margin=-7.10543e-15 samples=2000 seed=4
+PROBE p.product.cutter PASS margin=0.127717 samples=2000 seed=4
+PROBE p.lb1 FAIL margin=-0.610397 samples=2000 seed=4
+PROBE p.lb2 PASS margin=1.75502 samples=2000 seed=4
+PROBE p.fejer FAIL margin=-6.2698e+16 samples=4001 seed=-
+PROBE p.fejer-dc FAIL margin=-1.54158e+32 samples=2000 seed=-
+PROBE p.rate SKIP margin=-inf samples=0 seed=-
+PROBE q.cutter.PA PASS margin=-7.65647e-17 samples=2000 seed=4
+PROBE q.cutter.PB PASS margin=-5.30825e-16 samples=2000 seed=4
+PROBE q.relaxed-cutter.T PASS margin=-1.77636e-15 samples=2000 seed=4
+PROBE q.relaxed-cutter.U FAIL margin=-2.87717 samples=2000 seed=4
+PROBE q.demicontraction.T PASS margin=-3.55271e-15 samples=2000 seed=4
+PROBE q.demicontraction.U FAIL margin=-2.05512 samples=2000 seed=4
+PROBE q.product.cutter PASS margin=0.21249 samples=2000 seed=4
+PROBE q.lb1 PASS margin=0.800162 samples=2000 seed=4
+PROBE q.lb2 PASS margin=1.83441 samples=2000 seed=4
+PROBE q.fejer PASS margin=7.17097e-12 samples=403 seed=-
+PROBE q.fejer-dc FAIL margin=-9.13566e-09 samples=201 seed=-
+PROBE q.rate PASS margin=1.92451e-11 samples=201 seed=-
+"""
 # two boxes with an explicit intersection box: 14 of the 300 samples lie
 # in it, so lb2 evaluates only the other 286 rows
 BOXES = {
@@ -721,8 +797,10 @@ PROBE p.rate PASS margin=2.32505e-11 samples=42 seed=-
     (AFFINE_D5, AFFINE_D5_PROBE_LINES, 0),
     (MISLABELLED_T, MISLABELLED_T_PROBE_LINES, 4),
     (affine_d50(), AFFINE_D50_PROBE_LINES, 0),
+    (affine_d50_mislabelled(), AFFINE_D50_MISLABELLED_PROBE_LINES, 4),
     (BOXES, BOXES_PROBE_LINES, 0),
-], ids=["paper", "affine-d5", "mislabelled-t", "affine-d50", "boxes"])
+], ids=["paper", "affine-d5", "mislabelled-t", "affine-d50",
+        "affine-d50-mislabelled", "boxes"])
 def test_verify_probe_lines_golden(tmp_path, capsys, overrides, expected, code):
     # the full lines, margins included, as the probes printed them when
     # each drew its own ball sample and evaluated its own operator images
@@ -730,6 +808,23 @@ def test_verify_probe_lines_golden(tmp_path, capsys, overrides, expected, code):
     write_config(cfg, **overrides)
     assert main(["verify", str(cfg)]) == code
     assert capsys.readouterr().out == expected
+
+
+def test_verify_keeps_at_most_six_sample_sized_arrays_alive(tmp_path, capsys):
+    # the floor is at product.cutter: X, T(X), U(T(X)), the product's
+    # image, x - P and z - P; each (2000, 50) array is 0.8 MB
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **affine_d50())
+    assert main(["verify", str(cfg)]) == 0  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["verify", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == 2 * AFFINE_D50_PROBE_LINES
+    assert peak <= 6.5 * 2000 * 50 * 8
 
 
 def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):

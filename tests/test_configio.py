@@ -159,6 +159,20 @@ def test_trace_csv_without_solution(tmp_path):
     assert path.read_text().splitlines()[0] == "k,x_0,x_1,residual"
 
 
+@pytest.mark.parametrize("residuals, errors, message", [
+    ([0.1, 0.2, 0.3], [1.0, 0.5], "4 iterates but 2 solution errors"),
+    ([0.1, 0.2, 0.3, 0.4, 0.5], None, "4 iterates but 5 residuals"),
+    ([0.1, 0.2], [1.0, 0.5, 0.2, 0.1], "4 iterates but 2 residuals"),
+], ids=["short-errors", "extra-residuals", "short-residuals"])
+def test_inconsistent_trace_is_not_written(tmp_path, residuals, errors, message):
+    tr = Trace(iterates=np.zeros((4, 2)), residuals=residuals,
+               step_sizes=[1.0] * len(residuals), solution_errors=errors)
+    path = tmp_path / "t.csv"
+    with pytest.raises(UsageError, match=message):
+        write_trace_csv(str(path), tr)
+    assert not path.exists()
+
+
 # Pinned bytes: a deterministic writer that changed its number format would
 # still round-trip, so these literals are what holds the format.
 GOLDEN_ITERATES = [[-0.0, 5e-324], [1e308, 0.1], [0.5, -2.25]]

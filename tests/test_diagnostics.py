@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import (random_halfspace_pair, random_hyperplane_pair,
                       random_valid_pair, wedge_projection)
-from cutterkit import (EstimationError, Hyperplane,
+from cutterkit import (AffineSubspace, Box, EstimationError, Hyperplane,
                        IterationConfig, Operator, ProbeConfig, RelaxationPair, Trace,
                        UsageError, alpha_beta, compose,
                        cutter_check, dc_gap_check, demicontraction_check,
@@ -14,6 +14,8 @@ from cutterkit import (EstimationError, Hyperplane,
                        projection_operator, rate_certificate,
                        regularity_modulus_estimate, relax,
                        relaxed_cutter_check, run_dr, run_map, sample_ball)
+from cutterkit import diagnostics
+from cutterkit.theory import demicontraction_rho, nu, split_roots
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)
@@ -254,6 +256,161 @@ def test_lb2_random_halfspace_pair_with_wedge_oracle():
     probe = ProbeConfig(center=z0, radius=3.0, sample_count=5000, seed=9)
     rep = lb2_check(t, u, pair, wdist, probe)
     assert rep.passed and rep.margin > -1e-9
+
+
+# ---------------------------------------------------------------------------
+# the battery's arithmetic against the plain expressions
+
+def _plain_dot(a, b):
+    return np.einsum("nd,nd->n", a, b)
+
+
+def plain_sample(probe):
+    """sample_ball written as one expression per step."""
+    rng = np.random.default_rng(probe.seed)
+    n, d = probe.sample_count, probe.center.size
+    g = rng.standard_normal((n, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return probe.center + (probe.radius * rng.random(n) ** (1.0 / d))[:, None] * g
+
+
+def plain_battery_margins(a, b, t, u, pair, w, inter, probe):
+    """The margins of the battery's nine probes and its kappa_hat, each
+    inequality written as one expression of (n, d) arrays."""
+    x = probe.samples
+    tx, ux = t(x), u(x)
+    utx = u(tx)
+    zs_a, zs_b = a.project(x[:5]), b.project(x[:5])
+
+    def cutter(zs, tx):
+        return np.min([-_plain_dot(z - tx, x - tx) for z in zs], axis=0)
+
+    def relaxed(zs, tx, lam):
+        return np.min([lam * _plain_dot(z - x, tx - x) - _plain_dot(tx - x, tx - x)
+                       for z in zs], axis=0)
+
+    def demi(zs, tx, rho):
+        return np.min([_plain_dot(x - z, x - z) + rho * _plain_dot(tx - x, tx - x)
+                       - _plain_dot(tx - z, tx - z) for z in zs], axis=0)
+
+    s1, s2 = split_roots(pair)
+    sign = 1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0
+    comb = s1 * (tx - x) + sign * s2 * (utx - tx)
+    lb1 = _plain_dot(w - x, utx - x) - _plain_dot(comb, comb)
+    a_, b_ = diagnostics.alpha_beta(pair)
+    coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
+    d = inter.distance(x)
+    keep = d > probe.tolerance
+    xk, dk, txk, utxk = x, d, tx, utx
+    if not keep.all():
+        xk, dk = x[keep], d[keep]
+        txk = t(xk)
+        utxk = u(txk)
+    lb2 = np.linalg.norm(utxk - xk, axis=1) - coef * np.maximum(
+        _plain_dot(txk - xk, txk - xk), _plain_dot(utxk - txk, utxk - txk)) / dk
+    dm = np.maximum(np.linalg.norm(x - a.project(x), axis=-1),
+                    np.linalg.norm(x - b.project(x), axis=-1))
+    keep = dm > probe.tolerance
+    kappa = float(np.max(inter.distance(x[keep]) / dm[keep]))
+    product = relax(compose(u, t), 1.0 / nu(pair))(x)
+    return [cutter(zs_a, a.project(x)), cutter(zs_b, b.project(x)),
+            relaxed(zs_a, tx, pair.lam), relaxed(zs_b, ux, pair.mu),
+            demi(zs_a, tx, demicontraction_rho(pair.lam)),
+            demi(zs_b, ux, demicontraction_rho(pair.mu)),
+            cutter([w], product), lb1, lb2], kappa
+
+
+def _affine_pair(d, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(d)
+    return (AffineSubspace(p, rng.standard_normal((d // 2 + 1, d))),
+            AffineSubspace(p, rng.standard_normal((d // 2, d))))
+
+
+BOX_PAIR = (Box([-1, -1, -1], [1, 1, 1]), Box([0, -2, -0.5], [2, 2, 0.5]))
+
+
+@pytest.mark.parametrize("sets, inter, lam_t, mu_u, pair, n", [
+    # a mislabelled T or U gives margins of both signs; "+" in lb1 when
+    # max{lam, mu} >= 2, else "-"
+    (_affine_pair(40, 1), None, 1.7, 2.7, RelaxationPair(1.3, 2.7), 700),
+    (_affine_pair(9, 2), None, 0.6, 1.9, RelaxationPair(0.6, 1.5), 500),
+    # some samples lie in the intersection: lb2 and kappa_hat keep rows
+    (BOX_PAIR, Box([0, -1, -0.5], [1, 1, 0.5]), 2.5, 1.2,
+     RelaxationPair(2.5, 1.2), 300),
+], ids=["affine-d40-plus", "affine-d9-minus", "boxes-kept-rows"])
+def test_battery_margins_keep_the_bits_of_the_plain_expressions(
+        monkeypatch, sets, inter, lam_t, mu_u, pair, n):
+    a, b = sets
+    inter = inter if inter is not None else intersect_affine(a, b)
+    t = relax(projection_operator(a), lam_t)
+    u = relax(projection_operator(b), mu_u)
+    w = inter.project(np.zeros(a.dim))
+    probe = ProbeConfig(center=w, radius=2.0, sample_count=n, seed=5)
+    margins = []
+    report = diagnostics._report
+
+    def kept(name, m, *args, **kwargs):
+        margins.append(np.array(m))
+        return report(name, m, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_report", kept)
+    _, kappa_hat = diagnostics._product_probes(a, b, t, u, pair, w, inter, probe)
+    assert probe.samples.tobytes() == plain_sample(probe).tobytes()
+    expected, kappa = plain_battery_margins(a, b, t, u, pair, w, inter, probe)
+    assert len(margins) == len(expected) == 9
+    for got, want in zip(margins, expected):
+        assert got.tobytes() == want.tobytes()
+    assert kappa_hat() == kappa
+    mislabelled = (lam_t, mu_u) != (pair.lam, pair.mu)
+    assert any(m.min() < -1e-9 for m in margins) == mislabelled
+
+
+def _caching(op):
+    """op as a user Operator that hands out one writeable array per input,
+    the same object on every call with equal input."""
+    cache = {}
+
+    def fn(v):
+        key = (v.shape, v.tobytes())
+        if key not in cache:
+            cache[key] = np.array(op(v))
+        return cache[key]
+
+    return Operator(fn, op.fix_distance, "cached", op.dim), cache
+
+
+def test_battery_writes_into_no_operator_image_or_sample():
+    a, b = _affine_pair(12, 3)
+    inter = intersect_affine(a, b)
+    w = inter.project(np.zeros(12))
+    pair = RelaxationPair(1.4, 2.5)
+    plain_t = relax(projection_operator(a), 1.4)
+    plain_u = relax(projection_operator(b), 2.5)
+    t, t_cache = _caching(plain_t)
+    u, u_cache = _caching(plain_u)
+    probe = ProbeConfig(center=w, radius=2.0, sample_count=400, seed=6)
+    sample = probe.samples.copy()
+
+    def lines(t, u):
+        named, kappa_hat = diagnostics._product_probes(a, b, t, u, pair, w,
+                                                       inter, probe)
+        return [rep.line() for _, rep in named] + [kappa_hat()]
+
+    first = lines(t, u)
+    kept = [{k: v.copy() for k, v in c.items()} for c in (t_cache, u_cache)]
+    assert lines(t, u) == first
+    assert lines(plain_t, plain_u) == first
+    x = probe.samples
+    assert x.tobytes() == sample.tobytes()
+    tx = t_cache[(x.shape, x.tobytes())]
+    assert tx.tobytes() == plain_t(x).tobytes()
+    assert u_cache[(x.shape, x.tobytes())].tobytes() == plain_u(x).tobytes()
+    assert u_cache[(tx.shape, tx.tobytes())].tobytes() == plain_u(tx).tobytes()
+    for cache, copies in zip((t_cache, u_cache), kept):
+        assert cache.keys() == copies.keys()
+        for key, image in cache.items():
+            assert image.tobytes() == copies[key].tobytes()
 
 
 # ---------------------------------------------------------------------------
