@@ -297,7 +297,7 @@ def plain_battery_margins(a, b, t, u, pair, w, inter, probe):
     sign = 1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0
     comb = s1 * (tx - x) + sign * s2 * (utx - tx)
     lb1 = _plain_dot(w - x, utx - x) - _plain_dot(comb, comb)
-    a_, b_ = diagnostics.alpha_beta(pair)
+    a_, b_ = alpha_beta(pair)
     coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
     d = inter.distance(x)
     keep = d > probe.tolerance
