@@ -173,12 +173,22 @@ def _write_report(path: str, lines) -> None:
     configio._write_lines(path, lines)
 
 
-def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
+def _load(config_path: str, seed, iters) -> ExperimentConfig:
+    """The config, with --seed and --iters (>= 1, as in a config) applied."""
     cfg = configio.load_config(config_path)
     if seed is not None:
         cfg.seed = seed
     if iters is not None:
+        if iters < 1:
+            raise UsageError(f"--iters must be >= 1, got {iters}")
         cfg.iterations = iters
+    return cfg
+
+
+def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
+    cfg = _load(config_path, seed, iters)
+    if tol is not None and not tol > 0:  # checked before anything is written
+        raise UsageError(f"--tol must be positive, got {tol}")
     csv_dir = cfg.outputs.get("csv", "out")
     named = _run_methods(cfg, tol if tol is not None else 1e-300, csv_dir,
                          cfg.outputs.get("svg"))
@@ -247,11 +257,7 @@ def _verify_method(cfg, method, oracle, w, probe):
 
 
 def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
-    cfg = configio.load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    if iters is not None:
-        cfg.iterations = iters
+    cfg = _load(config_path, seed, iters)
     oracle = _intersection_oracle(cfg)
     w = oracle.project(cfg.x0) if oracle is not None else None
     probe = diagnostics.ProbeConfig(
@@ -305,8 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once, at import, for every main call of the process
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "example-paper":
             return cmd_example_paper(args.out, args.iters)

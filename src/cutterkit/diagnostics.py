@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -345,8 +345,8 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     Each probe is a call of its public function, so whatever wraps those
     (the benchmark's tracing) still sees every probe.  It runs on
     operators that answer on the probe sample X with images evaluated
-    here once: P_A(X), P_B(X),
-    T(X), U(X) and U(T(X)).  P_A(X), P_B(X) and U(X) are dropped after
+    here once: P_A(X), P_B(X), T(X), U(X), U(T(X)) and, for lb2 and
+    kappa_hat, d(X, A n B).  P_A(X), P_B(X) and U(X) are dropped after
     their last use (kappa_hat keeps ||X - P(X)|| where the set measures
     distance that way), and T(X) and U(T(X)) when this returns.  The
     images are the ones each probe would evaluate, so the reports are
@@ -378,15 +378,18 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     if w is None:
         return named, None
     u = _with_image(u, tx, _eval_batch(u, tx))
+    dist = getattr(intersection, "distance", intersection)
+    dist_x = cache(lambda: dist(x))
+    oracle = lambda v: dist_x() if v is x else dist(v)
     named += [
         # relax and compose evaluate T and U through their functions, so
         # (UT)_{1/nu} is relax's own arithmetic on the shared U(T(X))
         ("product.cutter", cutter_check(relax(compose(u, t), 1.0 / nu(pair)),
                                         [w], probe)),
         ("lb1", lb1_check(t, u, pair, [w], probe)),
-        ("lb2", lb2_check(t, u, pair, intersection, probe)),
+        ("lb2", lb2_check(t, u, pair, oracle, probe)),
     ]
-    return named, lambda: pair_regularity_estimate(*dists, intersection, probe)
+    return named, lambda: pair_regularity_estimate(*dists, oracle, probe)
 
 
 def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,

@@ -121,6 +121,18 @@ def _norm(v) -> float:
     return math.hypot(*v)
 
 
+def _row_norms(r) -> list:
+    """[_norm(v) for v in r] of an (n, d) array, bit for bit: a stacked
+    (1, d) @ (d, 1) matmul calls ddot per row, as np.vdot does (a gemv sums
+    in another order), but, unlike np.vdot, it warns on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sq).tolist()
+    for i in np.flatnonzero(~(sq >= 2.2250738585072014e-308) | np.isinf(sq)):
+        norms[i] = _norm(r[i])
+    return norms
+
+
 def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
     """The loop x <- x + c_k (W(x) - x), c_k = next(coeffs), recording the trace.
 
@@ -137,9 +149,7 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
 
     def trace():
         xs = np.array(iterates)
-        errs = None
-        if solution is not None:
-            errs = [_norm(r) for r in xs - solution]
+        errs = None if solution is None else _row_norms(xs - solution)
         return Trace(xs, residuals, steps, errs)
 
     # bound >= ||x||: while it stays below 1e300 no entry of x can have

@@ -131,13 +131,14 @@ class AffineSubspace(ConvexSet):
     through modified Gram-Schmidt with one re-orthogonalization pass;
     a vector whose remainder is at most ``ORTHO_TOL`` times its own norm
     is dependent and dropped.  A vector whose ``v . v`` is not a normal
-    float (zero, subnormal or overflowing) raises UsageError.
+    float (zero, subnormal or overflowing) raises UsageError, checked
+    for every vector before the first pass, which is batched.
     """
 
     def __init__(self, anchor, basis=()):
         self.anchor = _frozen(as_point(anchor))
         self.dim = self.anchor.size
-        vecs = []
+        rows, vvs = [], []
         for i, v in enumerate(basis):
             v = as_point(v, self.dim)
             vv = float(np.vdot(v, v))  # np.vdot does not warn on overflow
@@ -147,12 +148,21 @@ class AffineSubspace(ConvexSet):
                 raise UsageError(
                     f"affine basis vector {i}: v . v = {vv!r} is outside the "
                     "normal float range (2.2e-308 to 1.8e308); rescale it")
-            for _ in range(2):
-                for q in vecs:
-                    v = v - v.dot(q) * q
+            rows.append(v)
+            vvs.append(vv)
+        rows = np.array(rows).reshape(len(rows), self.dim)
+        vecs = []
+        for i, v in enumerate(rows):  # its first pass is done; the second:
+            for q in vecs:
+                v = v - v.dot(q) * q
             n = np.linalg.norm(v)
-            if n > ORTHO_TOL * math.sqrt(vv):
-                vecs.append(v / n)
+            if n > ORTHO_TOL * math.sqrt(vvs[i]):
+                q = v / n
+                vecs.append(q)
+                # the later rows' first pass: stacked (1, d) @ (d, 1) matmul
+                # calls ddot per row, v.dot(q)'s bits; gemv (X @ q) does not
+                rest = rows[i + 1:]
+                rest -= np.matmul(rest[:, None, :], q[:, None])[:, 0] * q
         self.basis = _frozen(np.array(vecs) if vecs else np.zeros((0, self.dim)))
         self._q = self.basis.T  # (d, k), orthonormal columns
 

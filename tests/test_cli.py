@@ -1,9 +1,13 @@
+import argparse
 import hashlib
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cutterkit import configio, diagnostics
+from cutterkit import cli, configio, diagnostics
 from cutterkit.cli import main
 from cutterkit.geometry import AffineSubspace
 from cutterkit.configio import read_trace_csv
@@ -200,6 +204,78 @@ def test_run_rejects_bad_methods_without_writing(tmp_path, methods):
     assert main(["run", str(cfg)]) == 2
     assert sorted(tmp_path.parent.iterdir()) == around
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+MAP_NEW = [{"name": "map", "driver": "map"}, dict(PRODUCT, name="new", alpha=1.0)]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("run", ["--tol", "0"], "--tol must be positive, got 0.0"),
+    ("run", ["--tol", "-1"], "--tol must be positive, got -1.0"),
+    ("run", ["--tol", "nan"], "--tol must be positive, got nan"),
+    ("run", ["--iters", "0"], "--iters must be >= 1, got 0"),
+    ("verify", ["--iters", "-5"], "--iters must be >= 1, got -5"),
+    ("verify", ["--iters", "0"], "--iters must be >= 1, got 0"),
+])
+def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
+        tmp_path, capsys, command, flags, message):
+    # as "iterations": 0 in the config is, and the product method's own
+    # residual_tol check, which ran only after map.csv had been written
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, methods=MAP_NEW, outputs={
+        "csv": str(out), "svg": str(out), "report": str(out / "report.txt")})
+    assert main([command, str(cfg)] + flags) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_one_parser_serves_every_main_call_from_its_defaults(tmp_path, capsys,
+                                                              monkeypatch):
+    # the parser is built at import; a flag of one call must not leak into
+    # the next, which gets the config's own seed and iterations
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append("build_parser") or init)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=MAP_NEW)
+    assert main(["run", str(cfg), "--seed", "5", "--iters", "3"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert main(["run", str(cfg)]) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert first[1] == "seed: 5" and second[1] == "seed: 11"
+    assert [line.split()[2] for line in first[2:]] == ["steps=3"] * 2
+    assert [line.split()[2] for line in second[2:]] == ["steps=30"] * 2
+    assert built == []
+
+
+def test_importing_the_cli_builds_its_parser_once(tmp_path):
+    # four ArgumentParsers: cutterkit and its three subcommands
+    code = textwrap.dedent("""
+        import argparse, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        from cutterkit import cli
+        at_import = len(built)
+        for _ in range(2):
+            cli.main(["example-paper", "--out", sys.argv[1], "--iters", "3"])
+        print(at_import, len(built))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.stdout.splitlines()[-1] == "4 4"
 
 
 def test_run_creates_the_report_directory(tmp_path, capsys):
@@ -830,8 +906,8 @@ def test_verify_keeps_at_most_six_sample_sized_arrays_alive(tmp_path, capsys):
 def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):
     # two affine sets meeting in a point: a product method's battery needs
     # P_A(X), P_B(X), T(X), U(X) and U(T(X)) once each, and the
-    # intersection oracle (an AffineSubspace too) projects the sample for
-    # lb2 and for kappa_hat
+    # intersection oracle (an AffineSubspace too) projects the sample once,
+    # for lb2 and kappa_hat both (lambda != mu, so lb2 is not skipped)
     sample_batches = []
     project = AffineSubspace.project
 
@@ -848,4 +924,4 @@ def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):
         {"type": "affine", "anchor": [0, 0, 0, 0, 2],
          "basis": [[0, 0, 0, 1, 0], [0.8, 0, 0, 0, 0.6], [0, 1, 0, 0, 0]]}]}))
     assert main(["verify", str(cfg)]) == 0
-    assert len(sample_batches) <= 7
+    assert len(sample_batches) <= 6

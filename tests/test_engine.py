@@ -10,6 +10,7 @@ from cutterkit import (AffineSubspace, Ball, Box, DivergenceError, HalfSpace,
                        UsageError, compose, identity, iterate,
                        iterate_reformulated, nu, projection_operator, relax,
                        rho_overrelax, run_dr, run_map)
+from cutterkit.engine import _norm, _row_norms
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)
@@ -318,6 +319,32 @@ def test_residuals_and_errors_match_linalg_norm_bit_for_bit():
     xs = tr.iterates
     assert tr.residuals == [float(np.linalg.norm(u(t(x)) - x)) for x in xs[:-1]]
     assert tr.solution_errors == [float(np.linalg.norm(x - solution)) for x in xs]
+
+
+@pytest.mark.parametrize("d", (1, 2, 5, 30, 33, 50, 100))
+def test_solution_errors_column_keeps_the_bits_of_norm_per_row(d):
+    # run's error column is one stacked matmul; it must read like _norm
+    # of each row, also where the square leaves the normal range or a row
+    # is not finite, and without a warning
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((24, d)) * 10.0 ** rng.uniform(-4, 4, (24, 1))
+    rows[1] = 0.0
+    rows[2] *= 1e160          # the square overflows: math.hypot
+    rows[3] *= 1e-160         # the square is subnormal or zero: math.hypot
+    rows[4] = 1e300
+    rows[5] = 5e-324
+    rows[6, 0] = math.inf
+    rows[7, -1] = -math.inf
+    rows[8, 0] = math.nan
+    rows[9, 0], rows[9, -1] = math.inf, math.nan
+    rows[10] = 1e-154         # near the lower edge of the normal square
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_norms(rows)
+        want = [_norm(v) for v in rows]
+        assert _row_norms(rows[:1]) == want[:1]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(e) is float for e in got)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from cutterkit import (AffineSubspace, Ball, Box, HalfSpace, Hyperplane,
                        InfeasibleError, UsageError, as_point, intersect_affine)
+from cutterkit.geometry import ORTHO_TOL
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)                 # x-axis
@@ -213,15 +216,22 @@ def _ref_distance(cset, x):
     return np.abs(v) / np.sqrt(float(cset.normal @ cset.normal))
 
 
-def _ref_gram_schmidt(basis, dim):
+def _left_looking_gram_schmidt(basis, dim):
+    """AffineSubspace's basis as it was computed one vector at a time:
+    each vector is checked, then both passes run over the kept q's."""
     vecs = []
-    for v in basis:
-        v = np.array(v, dtype=float)
+    for i, v in enumerate(basis):
+        v = as_point(v, dim)
+        vv = float(np.vdot(v, v))
+        if not sys.float_info.min <= vv < math.inf:
+            raise UsageError(
+                f"affine basis vector {i}: v . v = {vv!r} is outside the "
+                "normal float range (2.2e-308 to 1.8e308); rescale it")
         for _ in range(2):
             for q in vecs:
-                v = v - (v @ q) * q
+                v = v - v.dot(q) * q
         n = np.linalg.norm(v)
-        if n > 1e-12:
+        if n > ORTHO_TOL * math.sqrt(vv):
             vecs.append(v / n)
     return np.array(vecs) if vecs else np.zeros((0, dim))
 
@@ -246,14 +256,69 @@ def test_projections_match_the_matmul_expressions_bit_for_bit(d):
                     _ref_distance(cset, pts).tobytes(), (cset, pts.shape)
 
 
-@pytest.mark.parametrize("d, k", [(3, 3), (5, 4), (20, 7), (50, 25)])
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (3, 3), (5, 4), (7, 3), (12, 12),
+                                  (20, 7), (30, 15), (31, 40), (50, 25), (60, 33),
+                                  (60, 60)])
 def test_gram_schmidt_matches_the_matmul_loop_bit_for_bit(d, k):
     rng = np.random.default_rng(d + k)
-    vs = rng.standard_normal((k, d))
+    vs = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
     vs = np.vstack([vs, vs[0] - 0.5 * vs[-1]])  # one dependent vector
     sub = AffineSubspace(np.zeros(d), vs)
     assert sub.basis.shape == (min(k, d), d)
-    assert sub.basis.tobytes() == _ref_gram_schmidt(vs, d).tobytes()
+    assert sub.basis.tobytes() == _left_looking_gram_schmidt(vs, d).tobytes()
+
+
+# Gram-Schmidt's first pass and run's solution errors rely on numpy's
+# matmul of stacked (1, d) rows taking its vector . vector path, one BLAS
+# ddot per row, the call ndarray.dot makes on two 1-d rows.  The gemv form
+# X @ q can round otherwise (Gram-Schmidt written with it loses the bits
+# at d = 3 already); another numpy or BLAS that changes the path fails
+# here rather than changing CSV bytes.
+@pytest.mark.parametrize("n", (1, 7, 101))
+def test_stacked_matmul_row_dots_are_the_bits_of_ndarray_dot(n):
+    rng = np.random.default_rng(n)
+    for d in list(range(1, 65)) + [100, 257]:
+        scale = 10.0 ** rng.uniform(-5, 5, (n, 1))
+        x = rng.standard_normal((n, d)) * scale
+        y = rng.standard_normal((n, d)) * scale[::-1]
+        q = rng.standard_normal(d)
+        pairs = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+        assert pairs.tobytes() == np.array(
+            [a.dot(b) for a, b in zip(x, y)]).tobytes(), (n, d)
+        shared = np.matmul(x[:, None, :], q[:, None])[:, 0, 0]
+        assert shared.tobytes() == np.array([a.dot(q) for a in x]).tobytes(), (n, d)
+
+
+def test_gram_schmidt_drops_duplicates_and_nearly_dependent_vectors():
+    rng = np.random.default_rng(5)
+    d = 40
+    vs = rng.standard_normal((12, d))
+    near = vs[0] - 0.5 * vs[3] + 1e-14 * rng.standard_normal(d)  # dropped
+    keep = vs[1] + 1e-6 * rng.standard_normal(d)  # kept
+    basis = np.vstack([vs[:6], vs[2], near, vs[6:], keep, vs[11] * 3.0])
+    before = basis.copy()
+    sub = AffineSubspace(np.zeros(d), basis)
+    assert sub.basis.tobytes() == _left_looking_gram_schmidt(basis, d).tobytes()
+    assert sub.basis.shape == (13, d)
+    assert basis.tobytes() == before.tobytes()  # the input is not written
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([1e200] * 4, "affine basis vector 3: v . v = inf"),
+    ([1e-160, 0.0, 0.0, 0.0], "affine basis vector 3: v . v = 1e-320"),
+    ([0.0] * 4, "affine basis vector 3: v . v = 0.0"),
+    ([1.0, math.nan, 0.0, 0.0], "non-finite entries"),
+    ([1.0, 2.0, 3.0], "dimension mismatch"),
+])
+def test_a_bad_basis_vector_after_good_ones_raises_the_same_error(bad, match):
+    good = [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+    # a later bad vector does not change which one is named
+    basis = good + [bad, [1e200, 0.0, 0.0, 0.0]]
+    with pytest.raises(UsageError, match=re.escape(match)) as new:
+        AffineSubspace(np.zeros(4), basis)
+    with pytest.raises(UsageError) as ref:
+        _left_looking_gram_schmidt(basis, 4)
+    assert str(new.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("d", (5, 20, 50))
@@ -405,7 +470,7 @@ def _ref_intersect_affine(a, b):
     anchor = np.linalg.lstsq(m, c, rcond=None)[0]
     _, s, vt = np.linalg.svd(m)
     rank = int(np.sum(s > s[0] * max(m.shape) * np.finfo(float).eps))
-    return anchor, _ref_gram_schmidt(vt[rank:], m.shape[1])
+    return anchor, _left_looking_gram_schmidt(vt[rank:], m.shape[1])
 
 
 def _intersection_cases():
