@@ -152,7 +152,7 @@ class AffineSubspace(ConvexSet):
             vvs.append(vv)
         rows = np.array(rows).reshape(len(rows), self.dim)
         vecs = []
-        for i, v in enumerate(rows):  # its first pass is done; the second:
+        for i, v in enumerate(rows):  # the first pass is done; the second:
             for q in vecs:
                 v = v - v.dot(q) * q
             n = np.linalg.norm(v)

@@ -242,8 +242,9 @@ def test_one_parser_serves_every_main_call_from_its_defaults(tmp_path, capsys,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
-                        lambda: built.append("build_parser") or init)
+                        lambda: built.append("build_parser") or build())
     cfg = tmp_path / "cfg.json"
     write_config(cfg, methods=MAP_NEW)
     assert main(["run", str(cfg), "--seed", "5", "--iters", "3"]) == 0
