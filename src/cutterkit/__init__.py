@@ -18,7 +18,7 @@ from .errors import (ConfigError, CutterKitError, DegenerateSubgradientError,
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
                        Hyperplane, as_point, intersect_affine)
 from .operators import (Operator, compose, identity, projection_operator,
-                        proximal, relax, subgradient_projection)
+                        relax, subgradient_projection)
 from .svg import emit_svg
 from .theory import (RelaxationPair, alpha_beta, delta_product,
                      delta_projections, demicontraction_rho, nu, qlinear_rate,
@@ -37,7 +37,7 @@ __all__ = [
     "demicontraction_check", "demicontraction_rho", "emit_svg",
     "fejer_check", "identity", "intersect_affine",
     "iterate", "iterate_reformulated", "lb1_check", "lb2_check", "nu",
-    "pair_regularity_estimate", "projection_operator", "proximal",
+    "pair_regularity_estimate", "projection_operator",
     "qlinear_rate", "rate_certificate", "regularity_modulus_estimate",
     "relax", "relaxed_cutter_check", "rho_overrelax", "run_dr", "run_map",
     "sample_ball", "subgradient_projection",

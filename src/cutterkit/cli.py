@@ -52,7 +52,7 @@ def _paper_config(iters: int) -> ExperimentConfig:
 
 
 def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
-    named = _run_methods(_paper_config(iters), 1e-300, out_dir, out_dir,
+    named = _run_methods(_paper_config(_iters(iters)), 1e-300, out_dir, out_dir,
                          ("iterate trajectories", "log10 error per step"))
     n = max(tr.iterates.shape[0] for _, tr in named)
     lines = [",".join(["k"] + [f"log10_err_{name}" for name, _ in named])]
@@ -173,15 +173,20 @@ def _write_report(path: str, lines) -> None:
     configio._write_lines(path, lines)
 
 
+def _iters(iters: int) -> int:
+    """--iters, held to the rule of a config's iterations: >= 1."""
+    if iters < 1:
+        raise UsageError(f"--iters must be >= 1, got {iters}")
+    return iters
+
+
 def _load(config_path: str, seed, iters) -> ExperimentConfig:
-    """The config, with --seed and --iters (>= 1, as in a config) applied."""
+    """The config, with --seed and --iters applied."""
     cfg = configio.load_config(config_path)
     if seed is not None:
         cfg.seed = seed
     if iters is not None:
-        if iters < 1:
-            raise UsageError(f"--iters must be >= 1, got {iters}")
-        cfg.iterations = iters
+        cfg.iterations = _iters(iters)
     return cfg
 
 

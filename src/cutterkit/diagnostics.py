@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Trace
 from .errors import CutterKitError, EstimationError, UsageError
-from .geometry import ConvexSet, _frozen, as_point
+from .geometry import ConvexSet, _frozen, _norms, as_point
 from .operators import Operator, compose, projection_operator, relax
 from .theory import (RelaxationPair, alpha_beta, demicontraction_rho, nu,
                      qlinear_rate, split_roots)
@@ -69,7 +69,7 @@ def sample_ball(probe: ProbeConfig) -> np.ndarray:
     rng = np.random.default_rng(probe.seed)
     d = probe.center.size
     g = rng.standard_normal((int(probe.sample_count), d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= _norms(g)[:, None]
     radii = probe.radius * rng.random(int(probe.sample_count)) ** (1.0 / d)
     g *= radii[:, None]
     g += probe.center
@@ -149,7 +149,7 @@ def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
     if zs.size == 0:
         raise UsageError("fixed_sample must contain at least one point")
     for op in ops:
-        moved = np.linalg.norm(_eval_batch(op, zs) - zs, axis=1)
+        moved = _norms(_eval_batch(op, zs) - zs)
         if np.any(moved > probe.tolerance):
             raise UsageError(
                 f"fixed_sample contains non-fixed points of {op.label}: "
@@ -166,20 +166,10 @@ def _dot(a, b):
     return np.einsum("nd,nd->n", a, b)
 
 
-# The two row-wise distances below hold one (n, d) temporary, a - b, and
-# drop it on return, so a probe never keeps two differences alive at once.
-
 def _dist2(a, b):
-    """||a - b||^2 per row, as _dot of the difference with itself."""
+    """||a - b||^2 per row; the (n, d) difference is dropped on return."""
     r = a - b
     return _dot(r, r)
-
-
-def _dist(a, b):
-    """||a - b|| per row: np.linalg.norm(a - b, axis=-1), bit for bit."""
-    r = a - b
-    r *= r
-    return np.sqrt(np.add.reduce(r, axis=-1))
 
 
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
@@ -276,7 +266,7 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     tx = _eval_batch(t, x)
     utx = _eval_batch(u, tx)
     biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
-    margins = _dist(utx, x) - coef * biggest / d
+    margins = _norms(utx - x) - coef * biggest / d
     return _report("lb2", margins, x, probe.tolerance, probe.seed)
 
 
@@ -294,7 +284,7 @@ def regularity_modulus_estimate(t: Operator, probe: ProbeConfig) -> float:
     if not np.any(keep):
         raise EstimationError("all samples are degenerate (on the fixed set)")
     x = x[keep]
-    return float(np.min(_dist(_eval_batch(t, x), x) / d[keep]))
+    return float(np.min(_norms(_eval_batch(t, x) - x) / d[keep]))
 
 
 def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
@@ -331,7 +321,7 @@ def _with_distance(cset: ConvexSet, x, px):
     function answering on the array x itself from its projection px."""
     if type(cset).distance is not ConvexSet.distance:
         return cset  # its own formula, which needs no projection
-    dist = _dist(x, px)
+    dist = _norms(x - px)
     return lambda v: dist if v is x else cset.distance(v)
 
 
@@ -412,7 +402,7 @@ def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,
         )
     x_star = as_point(x_star, trace.iterates.shape[1])
     q = qlinear_rate(epsilon, delta, nu_value)
-    errs = np.linalg.norm(trace.iterates - x_star, axis=1)
+    errs = _norms(trace.iterates - x_star)
     margins = q * errs[:-1] - errs[1:]
     denom_ok = errs[:-1] > 1e-15
     q_factor = (
@@ -429,14 +419,14 @@ def fejer_check(trace: Trace, w, intersection_distance=None, x_star=None,
     intersection distance is available (x* defaults to the final iterate).
     """
     w = as_point(w, trace.iterates.shape[1])
-    dists = np.linalg.norm(trace.iterates - w, axis=1)
+    dists = _norms(trace.iterates - w)
     margins = dists[:-1] - dists[1:]
     points = trace.iterates[:-1]
     if intersection_distance is not None:
         dist = getattr(intersection_distance, "distance", intersection_distance)
         xs = trace.final if x_star is None else as_point(x_star, w.size)
         loc = 2.0 * np.asarray(dist(trace.iterates), dtype=float) \
-            - np.linalg.norm(trace.iterates - xs, axis=1)
+            - _norms(trace.iterates - xs)
         margins = np.concatenate([margins, loc])
         points = np.vstack([points, trace.iterates])
     return _report("fejer", margins, points, tol)
@@ -451,9 +441,9 @@ def dc_gap_check(trace: Trace, w, nu_value: float, epsilon: float,
     w = as_point(w, trace.iterates.shape[1])
     if not epsilon > 0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
-    d2 = np.linalg.norm(trace.iterates - w, axis=1) ** 2
+    d2 = _norms(trace.iterates - w) ** 2
     gaps = d2[:-1] - d2[1:]
-    deltas = np.linalg.norm(np.diff(trace.iterates, axis=0), axis=1)
+    deltas = _norms(np.diff(trace.iterates, axis=0))
     alphas = np.asarray(trace.step_sizes) * nu_value
     if np.any(alphas <= 0):
         raise UsageError("recovered alpha_k must be positive")

@@ -22,7 +22,8 @@ from itertools import count, repeat
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .geometry import ConvexSet, _frozen, as_point
+from .geometry import (ConvexSet, _frozen, _norm, _roots, _row_dots,
+                       as_point)
 from .operators import Operator, compose, projection_operator, relax
 from .theory import RelaxationPair, nu, rho_overrelax
 
@@ -110,27 +111,9 @@ def _count(n) -> int:
     raise UsageError(f"max_iter must be an integer >= 0, got {n!r}")
 
 
-def _norm(v) -> float:
-    """||v|| of a 1-d row: sqrt(v . v), bit for bit np.linalg.norm, or, for
-    a finite nonzero v whose square leaves the normal range (a norm above
-    about 1.3e154 or below about 1.5e-154), math.hypot.  np.vdot, unlike @
-    and ndarray.dot, warns on no overflow."""
-    sq = np.vdot(v, v)
-    if 2.2250738585072014e-308 <= sq < math.inf or not np.isfinite(v).all():
-        return math.sqrt(sq)
-    return math.hypot(*v)
-
-
 def _row_norms(r) -> list:
-    """[_norm(v) for v in r] of an (n, d) array, bit for bit: a stacked
-    (1, d) @ (d, 1) matmul calls ddot per row, as np.vdot does (a gemv sums
-    in another order), but, unlike np.vdot, it warns on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
-    norms = np.sqrt(sq).tolist()
-    for i in np.flatnonzero(~(sq >= 2.2250738585072014e-308) | np.isinf(sq)):
-        norms[i] = _norm(r[i])
-    return norms
+    """[_norm(v) for v in r] of an (n, d) array, bit for bit."""
+    return _roots(_row_dots(r, r), r).tolist()
 
 
 def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):

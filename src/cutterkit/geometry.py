@@ -39,6 +39,56 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The row-norm kernel: a norm is the square root of the row's square, the
+# sum of its squared entries, summed as BLAS ddot (_norm, _row_dots) or as
+# numpy's pairwise sum (_norms, the bits of np.linalg.norm(r, axis=-1)).
+# The one range rule, in _roots: a finite row whose square is not a normal
+# float (a norm below about 1.5e-154 or above about 1.3e154) takes
+# math.hypot of the row instead.
+
+
+def _norm(v) -> float:
+    """||v|| of a (d,) row, summed as ddot by np.vdot, which does not warn."""
+    sq = np.vdot(v, v)
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    return float(_roots(np.array([sq]), v[None])[0])
+
+
+def _row_dots(a, b):
+    """The dot of each row of an (n, d) array a with b, a (d,) row or (n, d)
+    rows: stacked (1, d) @ (d, 1) matmuls, one ddot per row, the bits of
+    ndarray.dot (a gemv sums otherwise).  An overflow reads inf, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _norms(r):
+    """||r|| per row, the pairwise sum's bits; a float for a (d,) row."""
+    if r.ndim == 1:
+        # np.vdot does not warn; in (1e-300, 1e300) both squares are normal
+        if 1e-300 < np.vdot(r, r) < 1e300:
+            return math.sqrt(np.add.reduce(r * r))
+        return float(_norms(r[None])[0])
+    sq = np.empty(r.shape[:-1])
+    step = 1 + 8192 // r.shape[-1]  # 64 KiB: an r-sized temporary page-faults
+    with np.errstate(over="ignore"):
+        for i in range(0, len(r), step):
+            np.add.reduce(r[i:i + step] ** 2, axis=-1, out=sq[i:i + step])
+    return _roots(sq, r)
+
+
+def _roots(sq, r):
+    """The norms of the rows r from their squares sq by the range rule."""
+    n = np.sqrt(sq)
+    off = ~((sq >= sys.float_info.min) & (sq < math.inf))
+    if off.any():  # a zero row's root is its norm; a non-finite row keeps it
+        off &= r.any(axis=-1) & np.isfinite(r).all(axis=-1)
+        for i in zip(*np.nonzero(off)):
+            n[i] = math.hypot(*r[i])
+    return n
+
+
 class ConvexSet:
     """A closed convex set with an exact metric projection."""
 
@@ -49,10 +99,8 @@ class ConvexSet:
 
     def distance(self, x):
         x = self._coerce(x)
-        return np.linalg.norm(x - self.project(x), axis=-1)
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        return bool(np.all(self.distance(x) <= tol))
+        n = _norms(x - self.project(x))
+        return np.float64(n) if x.ndim == 1 else n
 
     def _coerce(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -72,8 +120,7 @@ class _Plane(ConvexSet):
         self.offset = float(offset)
         if not self.normal.any():
             raise UsageError(f"{self._what} normal must be nonzero")
-        with np.errstate(over="ignore"):
-            self._nn = float(self.normal.dot(self.normal))
+        self._nn = float(np.vdot(self.normal, self.normal))  # no overflow warning
         # project divides by normal . normal and distance takes its root:
         # an inf or a subnormal would give wrong projections silently
         if not sys.float_info.min <= self._nn < math.inf:
@@ -142,8 +189,8 @@ class AffineSubspace(ConvexSet):
         for i, v in enumerate(basis):
             v = as_point(v, self.dim)
             vv = float(np.vdot(v, v))  # np.vdot does not warn on overflow
-            # the norms below would overflow to inf or lose the vector
-            # to underflow, and either would give wrong projections silently
+            # the dependence test below scales by sqrt(v . v): an inf or a
+            # subnormal square would keep or drop the vector wrongly, silently
             if not sys.float_info.min <= vv < math.inf:
                 raise UsageError(
                     f"affine basis vector {i}: v . v = {vv!r} is outside the "
@@ -155,14 +202,13 @@ class AffineSubspace(ConvexSet):
         for i, v in enumerate(rows):  # the first pass is done; the second:
             for q in vecs:
                 v = v - v.dot(q) * q
-            n = np.linalg.norm(v)
+            n = _norm(v)
             if n > ORTHO_TOL * math.sqrt(vvs[i]):
                 q = v / n
                 vecs.append(q)
-                # the later rows' first pass: stacked (1, d) @ (d, 1) matmul
-                # calls ddot per row, v.dot(q)'s bits; gemv (X @ q) does not
+                # the later rows' first pass, with v.dot(q)'s bits
                 rest = rows[i + 1:]
-                rest -= np.matmul(rest[:, None, :], q[:, None])[:, 0] * q
+                rest -= _row_dots(rest, q)[:, None] * q
         self.basis = _frozen(np.array(vecs) if vecs else np.zeros((0, self.dim)))
         self._q = self.basis.T  # (d, k), orthonormal columns
 
@@ -224,22 +270,6 @@ class Box(ConvexSet):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-def _norms(d):
-    """np.linalg.norm(d, axis=-1) bit for bit, a float for a (d,) row;
-    where the square of a finite row overflows, math.hypot of the row."""
-    if d.ndim == 1:
-        # np.vdot does not warn on overflow; below 1e300 no square or sum can
-        if np.vdot(d, d) < 1e300:
-            return math.sqrt(np.add.reduce(d * d))
-        return float(_norms(d[None])[0])
-    with np.errstate(over="ignore"):
-        n = np.sqrt(np.add.reduce(d * d, axis=-1))
-    for i in zip(*np.nonzero(np.isinf(n))):
-        if np.isfinite(d[i]).all():
-            n[i] = math.hypot(*d[i])
-    return n
-
-
 def _constraint_rows(cset):
     """Represent an affine set as stacked equality constraints M x = c."""
     if isinstance(cset, Hyperplane):
@@ -279,7 +309,7 @@ def _solve_affine(a, b, tol: float = 1e-9):
     # * eps; a second factorization is needed only for the null rows
     anchor, _, rank, _ = np.linalg.lstsq(m, c, rcond=None)
     anchor = as_point(anchor)
-    if np.linalg.norm(m @ anchor - c) > tol * (1.0 + np.linalg.norm(c)):
+    if _norm(m @ anchor - c) > tol * (1.0 + _norm(c)):
         raise InfeasibleError("affine sets have empty intersection")
     if rank == m.shape[1]:
         return anchor, np.empty((0, m.shape[1]))

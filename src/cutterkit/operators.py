@@ -1,5 +1,5 @@
-"""Operator algebra: projections, subgradient projections, proximal maps,
-relaxations and products.
+"""Operator algebra: projections, subgradient projections, relaxations
+and products.
 
 Operators are immutable closures over immutable data.  Evaluation accepts
 a single point ``(d,)`` or a batch ``(n, d)``, mapped row by row to an
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSubgradientError, UsageError
-from .geometry import ConvexSet, as_point
+from .geometry import ConvexSet
 
 
 class Operator:
@@ -129,42 +129,3 @@ def subgradient_projection(f, g, label: str = "P_f") -> Operator:
         return np.stack([one(row) for row in x])
 
     return Operator(fn, None, label)
-
-
-def proximal(f, t: float = 1.0) -> Operator:
-    """Proximal operator prox_{t f} for f from a closed-form catalog.
-
-    Accepted forms of f:
-      - a ConvexSet: indicator function, prox = metric projection;
-      - the string "l1": componentwise soft thresholding at level t;
-      - ("quadratic", c): f = 0.5 ||x - c||^2, prox = (x + t c)/(1 + t).
-    """
-    t = float(t)
-    if not t > 0:
-        raise UsageError(f"proximal step t must be positive, got {t}")
-
-    if isinstance(f, ConvexSet):
-        return Operator(
-            f.project, f.distance, label=f"prox[ind {type(f).__name__}]", dim=f.dim
-        )
-    if f == "l1":
-        def soft(x):
-            return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-        return Operator(
-            soft, fix_distance=lambda x: np.linalg.norm(x, axis=-1), label="prox[l1]"
-        )
-    if isinstance(f, tuple) and len(f) == 2 and f[0] == "quadratic":
-        c = as_point(f[1])
-
-        def quad(x):
-            return (x + t * c) / (1.0 + t)
-
-        return Operator(
-            quad,
-            fix_distance=lambda x: np.linalg.norm(x - c, axis=-1),
-            label="prox[quadratic]",
-            dim=c.size,
-        )
-    raise UsageError(f"unsupported function tag for proximal: {f!r}")
-

@@ -230,6 +230,16 @@ def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("iters", ("0", "-1"))
+def test_example_paper_holds_iters_to_the_rule_of_run_before_writing(
+        tmp_path, capsys, iters):
+    out = tmp_path / "paper"
+    assert main(["example-paper", "--out", str(out), "--iters", iters]) == 3
+    assert capsys.readouterr().err == \
+        f"validation error: --iters must be >= 1, got {iters}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_one_parser_serves_every_main_call_from_its_defaults(tmp_path, capsys,
                                                               monkeypatch):
     # the parser is built at import; a flag of one call must not leak into
@@ -389,6 +399,92 @@ def test_run_on_a_flat_intersection_builds_no_basis(tmp_path, monkeypatch,
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / "out").iterdir())}
     assert digests == FLAT_RUN_DIGESTS[name]
+
+
+def _ball_run(d, pair):
+    """A ball of radius 0.75 with a box, or after a half-space, in R^d,
+    from a 17-digit start.  The half-space {x_1 >= c_1 + 0.75} touches
+    the ball at one point, given as the explicit intersection, so the
+    traces carry the error column too."""
+    center = [((3 * j) % 7 - 3) / 8 for j in range(d)]
+    ball = {"type": "ball", "center": center, "radius": 0.75}
+    x0 = (3.0 * np.random.default_rng(d).standard_normal(d)).tolist()
+    if pair == "ball-box":
+        box = {"type": "box", "lo": [-0.5] * d, "hi": [0.25] * d}
+        return {"problem": {"sets": [ball, box]}, "x0": x0}
+    touch = [center[0] + 0.75] + center[1:]
+    plane = {"type": "halfspace", "normal": [-1] + [0] * (d - 1),
+             "offset": -touch[0]}
+    return {"problem": {"sets": [plane, ball], "intersection": {
+        "type": "affine", "anchor": touch, "basis": []}}, "x0": x0}
+
+
+BALL_RUNS = {f"{pair}-d{d}": _ball_run(d, pair)
+             for pair in ("halfspace-ball", "ball-box") for d in (2, 20)}
+# sha256 of every output file, recorded before the row norms of geometry,
+# engine and diagnostics moved into one kernel
+BALL_RUN_DIGESTS = {
+    "halfspace-ball-d2": {
+        "dr.csv":
+            "3def42591b2f59ac42a86f61b4b8660bd2937af92bf90d299c15ac8361a227a2",
+        "errors.svg":
+            "3dffaa29ae00d7406c11991a3f8d08b3cb03ee9ba82a82f66d287af97a0dc70f",
+        "map.csv":
+            "071d096e346cf25d1fa780c4a67cdafc8b2be6d081c9f2a607fbeb4c1ccde44d",
+        "new.csv":
+            "976b591ed4e6b58b30032ffdcd87b998b3b0431940e76bad19b6c6fef4a9c1f8",
+        "report.txt":
+            "c4a55efa841cde1c40bd325595f586f85fdf423a00a05108f4718a6e115f9c9e",
+        "trajectories.svg":
+            "1d735a53452d62a0dc454cd3184bef841d57d86cbb83090700f54ab75af43514",
+    },
+    "halfspace-ball-d20": {
+        "dr.csv":
+            "6972506c1d242ef46a8fffa3728a1dce9e6e5e4e733d18e0f75bf5340c81e4d9",
+        "map.csv":
+            "26ab29eee415198d756390aaf8c546c4d1ba3a3e51538ec7cf8e382767668e56",
+        "new.csv":
+            "053283dd734c1c4880259fa721790b7cc0c28add3eb5ef1f1c6e4fc140877d81",
+        "report.txt":
+            "0538d632fd47cc08cfc56a6ccd3f5cb0a5ad67adc5f4ea0c8e9954e2c9f5cbb1",
+    },
+    "ball-box-d2": {
+        "dr.csv":
+            "1a1bf42bcdd3df7e92ab983359fc89c8ff699234890fbadcf2471b7a55c3ad49",
+        "map.csv":
+            "a48b025598411554f5b75ad7740f2b2fc5dd000579dd69e7ac128d652697341b",
+        "new.csv":
+            "938c9ff603b4da7c03c02c606e380942310709ebec1ef20d2381e0125d8419a6",
+        "report.txt":
+            "343e815716f1a1805a3676ca91ade882c13fa87d7012f844eeac6faeceeefc1b",
+        "trajectories.svg":
+            "2d6936a8b93f0794926bb3a0f65d002dff2aa5ef21337f30327695c580676cac",
+    },
+    "ball-box-d20": {
+        "dr.csv":
+            "315d4b6f29df65da1a59e7ac4b37e9ce12ab108ef4e65d3a727af711c1859b43",
+        "map.csv":
+            "0c6d96f50d9571b7da9a2715205aa2b7b66d152e1f7adc2247778365597a1ddb",
+        "new.csv":
+            "fc1649bcccc9dda89b43cabe88eb6d80a64259b94cf88ac17ce01e6b6a82be83",
+        "report.txt":
+            "e8e466033583e0337935458ff669b1cb02fd51fcf1057a0442491eb958061dcf",
+    },
+}
+
+
+@pytest.mark.parametrize("name", BALL_RUNS)
+def test_run_on_a_ball_keeps_its_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    outputs = {"csv": "out", "report": "out/report.txt"}
+    if len(BALL_RUNS[name]["x0"]) == 2:
+        outputs["svg"] = "out"
+    write_config(tmp_path / "cfg.json", iterations=20, outputs=outputs,
+                 **BALL_RUNS[name])
+    assert main(["run", "cfg.json"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted((tmp_path / "out").iterdir())}
+    assert digests == BALL_RUN_DIGESTS[name]
 
 
 def _point_pair_d50():
@@ -617,6 +713,20 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     assert main(["verify", str(cfg)]) == 4
     out = capsys.readouterr().out
     assert "PROBE corrupt.relaxed-cutter.T FAIL" in out
+
+
+def test_verify_far_probe_ball_is_a_validation_error_without_a_warning(
+        tmp_path, capsys):
+    # at radius 1e200 the probe's fixed points are off their sets by about
+    # 1e184, whose square overflows; the moved check measures it by hypot
+    # (the suite turns a RuntimeWarning into an error)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, probe={"radius": 1e200})
+    assert main(["verify", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"validation error: fixed_sample contains non-fixed "
+                        r"points of P\[Hyperplane\]: max \|\|T\(z\) - z\|\| = "
+                        r"\d\.\d{3}e\+18\d\n", err), err
 
 
 def test_verify_symmetric_pair_reports_lb2_vacuous(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from cutterkit import (AffineSubspace, Ball, Box, HalfSpace, Hyperplane,
                        InfeasibleError, UsageError, as_point, intersect_affine)
-from cutterkit.geometry import ORTHO_TOL
+from cutterkit.engine import _row_norms
+from cutterkit.geometry import ORTHO_TOL, _norm, _norms
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)                 # x-axis
@@ -436,6 +438,24 @@ def test_ball_projects_far_points_onto_the_sphere():
     assert got[[0, 2]].tolist() == [[1.0, 0.0], [0.0, -1.0]]
     assert got[[1, 3]].tobytes() == _batch_expression(ball, x[[1, 3]]).tobytes()
     assert ball.distance(x).tolist() == [1e200, 4.0, 1e300, 0.0]
+
+
+# one range rule for every row norm: the square root of the square where
+# that is a normal float, math.hypot of any other finite row
+RANGE_ROWS = [([1e200, 0.0], 1e200), ([1e-160, 0.0], 1e-160), ([3.0, 4.0], 5.0),
+              ([0.0, 0.0], 0.0), ([math.inf, 0.0], math.inf),
+              ([math.nan, 0.0], math.nan), ([math.inf, math.nan], math.nan)]
+
+
+@pytest.mark.parametrize("row, norm", RANGE_ROWS)
+def test_every_row_norm_follows_the_one_range_rule(row, norm):
+    v = np.array(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_norm(v), _norms(v), *_norms(np.array([v, v])), *_row_norms(v[None])]
+    assert all(type(n) in (float, np.float64) for n in got)
+    want = np.full(len(got), norm)
+    assert np.array(got).tobytes() == want.tobytes(), got
 
 
 def test_ball_points_near_the_overflow_keep_their_bits():

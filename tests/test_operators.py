@@ -6,7 +6,7 @@ import pytest
 from cutterkit import (AffineSubspace, Ball, Box, DegenerateSubgradientError,
                        HalfSpace, Hyperplane, RelaxationPair, UsageError,
                        compose, identity, intersect_affine,
-                       nu, projection_operator, proximal, relax,
+                       nu, projection_operator, relax,
                        subgradient_projection)
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
@@ -165,36 +165,6 @@ def test_subgradient_projection_degenerate_subgradient():
     p = subgradient_projection(lambda x: 1.0, lambda x: np.zeros_like(x))
     with pytest.raises(DegenerateSubgradientError):
         p(np.array([1.0, 2.0]))
-
-
-# ---------------------------------------------------------------------------
-# proximal catalog
-
-def test_proximal_indicator_is_projection():
-    box = Box([0.0, 0.0], [1.0, 1.0])
-    p = proximal(box, t=2.0)
-    pts = rand_points(100, seed=2)
-    assert np.array_equal(p(pts), box.project(pts))
-
-
-def test_proximal_l1_soft_thresholding():
-    p = proximal("l1", t=1.0)
-    assert np.allclose(p(np.array([2.0, -0.5])), [1.0, 0.0], atol=1e-15)
-    assert abs(p.fix_distance(np.array([3.0, 4.0])) - 5.0) < 1e-15
-
-
-def test_proximal_quadratic_midpoint():
-    c = np.array([1.0, -1.0])
-    p = proximal(("quadratic", c), t=1.0)
-    x = np.array([3.0, 1.0])
-    assert np.allclose(p(x), (x + c) / 2.0, atol=1e-15)
-
-
-def test_proximal_validation():
-    with pytest.raises(UsageError):
-        proximal("unknown-tag")
-    with pytest.raises(UsageError):
-        proximal("l1", t=0.0)
 
 
 # ---------------------------------------------------------------------------
