@@ -23,12 +23,11 @@ import sys
 import numpy as np
 
 from . import configio, diagnostics
-from .configio import ExperimentConfig, MethodSpec
+from .configio import ExperimentConfig
 from .engine import IterationConfig, Trace, iterate, run_dr, run_map
 from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
 from .geometry import AffineSubspace, Hyperplane, _solve_affine, intersect_affine
-from .operators import projection_operator, relax
 from .svg import emit_svg
 from .theory import RelaxationPair, delta_projections, nu
 
@@ -39,20 +38,28 @@ EXIT_PROBE = 4
 EXIT_IO = 5
 
 
-def _paper_config(iters: int) -> ExperimentConfig:
-    """The paper's example: A = x-axis, B = line at angle pi/6 through the
-    origin (in R^2), x0 = (1, 0); MAP, DR and the (3,1) product method."""
-    a = Hyperplane([0.0, 1.0], 0.0)
-    b = Hyperplane([-math.sin(math.pi / 6), math.cos(math.pi / 6)], 0.0)
-    new = MethodSpec("new", "product", RelaxationPair(3.0, 1.0), alpha=1.0,
-                     epsilon=1.0, t=relax(projection_operator(a), 3.0),
-                     u=projection_operator(b))
-    return ExperimentConfig([a, b], np.array([1.0, 0.0]), iters,
-                            [MethodSpec("map", "map"), MethodSpec("dr", "dr"), new])
+# The paper's example: A = x-axis, B = line at angle pi/6 through the
+# origin (in R^2), x0 = (1, 0); MAP, DR and the (3,1) product method.
+_PAPER = {
+    "problem": {"sets": [
+        {"type": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+        {"type": "hyperplane", "offset": 0.0,
+         "normal": [-math.sin(math.pi / 6), math.cos(math.pi / 6)]},
+    ]},
+    "x0": [1.0, 0.0],
+    "iterations": 30,
+    "methods": [
+        {"name": "map", "driver": "map"},
+        {"name": "dr", "driver": "dr"},
+        {"name": "new", "driver": "product", "lambda": 3.0, "mu": 1.0,
+         "alpha": 1.0, "epsilon": 1.0},
+    ],
+}
 
 
 def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
-    named = _run_methods(_paper_config(_iters(iters)), 1e-300, out_dir, out_dir,
+    cfg = configio.parse_config({**_PAPER, "iterations": _iters(iters)})
+    named = _run_methods(cfg, 1e-300, out_dir, out_dir,
                          ("iterate trajectories", "log10 error per step"))
     n = max(tr.iterates.shape[0] for _, tr in named)
     lines = [",".join(["k"] + [f"log10_err_{name}" for name, _ in named])]
@@ -146,7 +153,6 @@ def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
     the trajectory plot and, given that point, the error plot, titled by
     titles.  Returns [(name, trace), ...]."""
     solution = _unique_point(cfg)
-    os.makedirs(csv_dir, exist_ok=True)
     named = []
     for method in cfg.methods:
         trace = _run_method(cfg, method, solution=solution,
@@ -154,7 +160,6 @@ def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
         named.append((method.name, trace))
         configio.write_trace_csv(os.path.join(csv_dir, f"{method.name}.csv"), trace)
     if svg_dir:
-        os.makedirs(svg_dir, exist_ok=True)
         labels = [n for n, _ in named]
         traces = [t for _, t in named]
         emit_svg(traces, os.path.join(svg_dir, "trajectories.svg"),
@@ -163,14 +168,6 @@ def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
             emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
                      kind="error", labels=labels, title=titles[1])
     return named
-
-
-def _write_report(path: str, lines) -> None:
-    """Write a report's lines, creating its directory first."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    configio._write_lines(path, lines)
 
 
 def _iters(iters: int) -> int:
@@ -204,8 +201,8 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
             f"method {name}: steps={trace.n_steps} "
             f"final_residual={trace.final_residual:.17g} final_error={last:.17g}"
         )
-    _write_report(cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")),
-                  report_lines)
+    configio._write_lines(
+        cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")), report_lines)
     for line in report_lines:
         print(line)
     return EXIT_OK
@@ -250,12 +247,15 @@ def _verify_method(cfg, method, oracle, w, probe):
         return reports
     trace = _run_method(cfg, method, max_iter=max(cfg.iterations, 2000),
                         residual_tol=1e-10)
-    add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle))
-    add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon))
+    tol = probe.tolerance
+    add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle,
+                                         tol=tol))
+    add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon, tol=tol))
     if method.driver == "product":
         kappa = kappa_hat()
         rate_rep = diagnostics.rate_certificate(
-            trace, trace.final, epsilon, delta_projections(method.pair, kappa), n)
+            trace, trace.final, epsilon, delta_projections(method.pair, kappa), n,
+            tol=tol)
         rate_rep.kappa_hat = kappa
         add("rate", rate_rep)
     return reports
@@ -279,7 +279,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     lines = [rep.line() for rep in reports]
     report_path = cfg.outputs.get("report")
     if report_path:
-        _write_report(report_path, lines)
+        configio._write_lines(report_path, lines)
     for line in lines:
         print(line)
     failed = [r for r in reports if not r.skipped and not r.passed]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,7 +296,11 @@ def _log10_cell(e: float) -> str:
 
 
 def _write_lines(path: str, lines) -> None:
-    """Write text lines, each ending in a newline, as UTF-8."""
+    """Write text lines, each ending in a newline, as UTF-8, creating the
+    file's directory first.  Every file the CLI writes goes through here."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

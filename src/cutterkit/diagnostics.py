@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .engine import Trace
+from .engine import Trace, _count
 from .errors import CutterKitError, EstimationError, UsageError
 from .geometry import ConvexSet, _frozen, _norms, as_point
 from .operators import Operator, compose, projection_operator, relax
@@ -34,8 +34,10 @@ MAX_RECORDED_VIOLATIONS = 20
 class ProbeConfig:
     """Sampling region, budget and tolerance of one probe.
 
-    ``samples`` is the ball sample, drawn on first use and shared, read
-    only, by every probe given this config.
+    ``sample_count`` (>= 1) and ``seed`` (>= 0) are held to the config
+    files' rule for integers and stored as ints.  ``samples`` is the ball
+    sample, drawn on first use and shared, read only, by every probe given
+    this config.
     """
 
     center: np.ndarray
@@ -49,10 +51,9 @@ class ProbeConfig:
         if not 0 < self.radius < math.inf:
             raise UsageError(f"probe radius must be positive and finite, "
                              f"got {self.radius}")
-        if int(self.sample_count) < 1:
-            raise UsageError("sample_count must be >= 1")
-        if int(self.seed) < 0:
-            raise UsageError(f"probe seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "sample_count",
+                           _count(self.sample_count, "sample_count", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "probe seed"))
         if not self.tolerance > 0:
             raise UsageError("tolerance must be positive")
 
@@ -68,9 +69,9 @@ def sample_ball(probe: ProbeConfig) -> np.ndarray:
     directions scaled by radius * U^(1/d)."""
     rng = np.random.default_rng(probe.seed)
     d = probe.center.size
-    g = rng.standard_normal((int(probe.sample_count), d))
+    g = rng.standard_normal((probe.sample_count, d))
     g /= _norms(g)[:, None]
-    radii = probe.radius * rng.random(int(probe.sample_count)) ** (1.0 / d)
+    radii = probe.radius * rng.random(probe.sample_count) ** (1.0 / d)
     g *= radii[:, None]
     g += probe.center
     return g
@@ -305,24 +306,13 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     return float(np.max(di / dm[keep]))
 
 
-def _with_image(op: Operator, x, image) -> Operator:
-    """op, answering its evaluation on the array x itself with image.
+def _answering(x, value, f):
+    """f, answering its call on the array x itself with value.
 
     x is held here, so its identity cannot pass to another array while
-    this operator lives.
+    the answer lives.
     """
-    fn = op._fn
-    return Operator(lambda v: image if v is x else fn(v), op.fix_distance,
-                    op.label, op.dim)
-
-
-def _with_distance(cset: ConvexSet, x, px):
-    """cset, or, if it measures distance as ||x - P(x)||, that distance
-    function answering on the array x itself from its projection px."""
-    if type(cset).distance is not ConvexSet.distance:
-        return cset  # its own formula, which needs no projection
-    dist = _norms(x - px)
-    return lambda v: dist if v is x else cset.distance(v)
+    return lambda v: value if v is x else f(v)
 
 
 def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
@@ -342,6 +332,10 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     images are the ones each probe would evaluate, so the reports are
     the same bit for bit; lb2 reads them when it keeps every sample.
     """
+    def shared(op, at, image):  # op, answering on the array at with image
+        return Operator(_answering(at, image, op._fn), op.fix_distance,
+                        op.label, op.dim)
+
     x = probe.samples
     pts = x[:5]  # membership points for the single-operator checks
     fixed_a, fixed_b = a.project(pts), b.project(pts)
@@ -349,13 +343,15 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     for name, cset, fixed in (("cutter.PA", a, fixed_a), ("cutter.PB", b, fixed_b)):
         p = projection_operator(cset)
         px = _eval_batch(p, x)
-        named.append((name, cutter_check(_with_image(p, x, px), fixed, probe)))
-        dists.append(_with_distance(cset, x, px))
+        named.append((name, cutter_check(shared(p, x, px), fixed, probe)))
+        # a set with its own distance formula needs no projection for it
+        dists.append(cset if type(cset).distance is not ConvexSet.distance
+                     else _answering(x, _norms(x - px), cset.distance))
     del px
     # from here on T answers on X, and U on X and later on T(X), from images
     tx = _eval_batch(t, x)
-    t = _with_image(t, x, tx)
-    u_x = _with_image(u, x, _eval_batch(u, x))
+    t = shared(t, x, tx)
+    u_x = shared(u, x, _eval_batch(u, x))
     named += [
         ("relaxed-cutter.T", relaxed_cutter_check(t, pair.lam, fixed_a, probe)),
         ("relaxed-cutter.U", relaxed_cutter_check(u_x, pair.mu, fixed_b, probe)),
@@ -367,10 +363,9 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     del u_x
     if w is None:
         return named, None
-    u = _with_image(u, tx, _eval_batch(u, tx))
     dist = getattr(intersection, "distance", intersection)
-    dist_x = cache(lambda: dist(x))
-    oracle = lambda v: dist_x() if v is x else dist(v)
+    oracle = _answering(x, dist(x), dist)
+    u = shared(u, tx, _eval_batch(u, tx))
     named += [
         # relax and compose evaluate T and U through their functions, so
         # (UT)_{1/nu} is relax's own arithmetic on the shared U(T(X))

@@ -101,14 +101,15 @@ class Trace:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
-def _count(n) -> int:
-    """A step count as an int, by the config files' rule for integers: 3
-    and 3.0 pass; a fraction, NaN, inf, a bool or a string do not."""
+def _count(n, name: str = "max_iter", least: int = 0) -> int:
+    """A count n >= least as an int, by the config files' rule for
+    integers: 3 and 3.0 pass; a fraction, NaN, inf, a bool or a string do
+    not.  name names the count in the error."""
     if isinstance(n, float) and n.is_integer() or \
             isinstance(n, numbers.Integral) and not isinstance(n, bool):
-        if n >= 0:
+        if n >= least:
             return int(n)
-    raise UsageError(f"max_iter must be an integer >= 0, got {n!r}")
+    raise UsageError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def _row_norms(r) -> list:

@@ -89,6 +89,18 @@ def _roots(sq, r):
     return n
 
 
+def _square(v, what: str, tail: str, error=UsageError) -> float:
+    """v . v, summed as ddot by np.vdot, which does not warn on overflow.
+    Raises error, naming the square as what, unless it is a normal float:
+    a zero, subnormal or infinite square would mislead the quotients and
+    roots taken of it, silently."""
+    vv = float(np.vdot(v, v))
+    if not sys.float_info.min <= vv < math.inf:
+        raise error(f"{what} = {vv!r} is outside the normal float range "
+                    f"(2.2e-308 to 1.8e308){tail}")
+    return vv
+
+
 class ConvexSet:
     """A closed convex set with an exact metric projection."""
 
@@ -120,14 +132,9 @@ class _Plane(ConvexSet):
         self.offset = float(offset)
         if not self.normal.any():
             raise UsageError(f"{self._what} normal must be nonzero")
-        self._nn = float(np.vdot(self.normal, self.normal))  # no overflow warning
-        # project divides by normal . normal and distance takes its root:
-        # an inf or a subnormal would give wrong projections silently
-        if not sys.float_info.min <= self._nn < math.inf:
-            raise UsageError(
-                f"{self._what} normal . normal = {self._nn!r} is outside the "
-                "normal float range (2.2e-308 to 1.8e308); rescale the normal "
-                "and the offset")
+        # project divides by normal . normal and distance takes its root
+        self._nn = _square(self.normal, f"{self._what} normal . normal",
+                           "; rescale the normal and the offset")
         self.dim = self.normal.size
 
     def __repr__(self):
@@ -188,15 +195,9 @@ class AffineSubspace(ConvexSet):
         rows, vvs = [], []
         for i, v in enumerate(basis):
             v = as_point(v, self.dim)
-            vv = float(np.vdot(v, v))  # np.vdot does not warn on overflow
-            # the dependence test below scales by sqrt(v . v): an inf or a
-            # subnormal square would keep or drop the vector wrongly, silently
-            if not sys.float_info.min <= vv < math.inf:
-                raise UsageError(
-                    f"affine basis vector {i}: v . v = {vv!r} is outside the "
-                    "normal float range (2.2e-308 to 1.8e308); rescale it")
+            # the dependence test below scales by sqrt(v . v)
+            vvs.append(_square(v, f"affine basis vector {i}: v . v", "; rescale it"))
             rows.append(v)
-            vvs.append(vv)
         rows = np.array(rows).reshape(len(rows), self.dim)
         vecs = []
         for i, v in enumerate(rows):  # the first pass is done; the second:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSubgradientError, UsageError
-from .geometry import ConvexSet
+from .geometry import ConvexSet, _square
 
 
 class Operator:
@@ -108,7 +108,9 @@ def subgradient_projection(f, g, label: str = "P_f") -> Operator:
     Moves x to x - (f(x)/||g(x)||^2) g(x) when f(x) > 0 and fixes x
     otherwise; the fixed set is the 0-sublevel set of f.  f and g must
     accept a single point; batches are handled row-wise with the same
-    masks.  A zero subgradient at a strictly infeasible point is an error.
+    masks.  At a strictly infeasible point, a subgradient whose square
+    ||g(x)||^2 is not a normal float (zero, subnormal or overflowing) is
+    an error.
     """
 
     def one(x):
@@ -116,11 +118,8 @@ def subgradient_projection(f, g, label: str = "P_f") -> Operator:
         if fx <= 0.0:
             return x
         gx = np.asarray(g(x), dtype=float)
-        n2 = float(gx @ gx)
-        if n2 == 0.0 or not np.isfinite(n2):
-            raise DegenerateSubgradientError(
-                f"zero subgradient at a point with f(x) = {fx} > 0"
-            )
+        n2 = _square(gx, "subgradient g(x) . g(x)", " at a point where f(x) > 0",
+                     DegenerateSubgradientError)
         return x - (fx / n2) * gx
 
     def fn(x):

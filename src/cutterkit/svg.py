@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from .configio import _write_lines
 from .errors import UsageError
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -24,56 +25,12 @@ def _scale(lo, hi):
     return lo - pad, hi + pad
 
 
-def _polyline(xs, ys, color):
-    pts = " ".join(["%.2f,%.2f" % xy for xy in zip(xs.tolist(), ys.tolist())])
-    return (
-        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="1.5"/>'
-    )
-
-
-def _frame(width, height, margin, title):
-    parts = [
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#999"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{margin - 8}" font-size="13" '
-            f'text-anchor="middle" font-family="sans-serif">{title}</text>'
-        )
-    return parts
-
-
-def _legend(parts, labels, width, margin):
-    y = margin + 16
-    for label, color in zip(labels, PALETTE):
-        parts.append(
-            f'<text x="{width - margin - 8}" y="{y}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif" fill="{color}">'
-            f"{label}</text>"
-        )
-        y += 14
-
-
-def _axis_labels(parts, xlo, xhi, ylo, yhi, width, height, margin):
-    parts.append(
-        f'<text x="{margin}" y="{height - margin + 14}" font-size="10" '
-        f'font-family="sans-serif">{xlo:.3g}</text>'
-    )
-    parts.append(
-        f'<text x="{width - margin}" y="{height - margin + 14}" font-size="10" '
-        f'text-anchor="end" font-family="sans-serif">{xhi:.3g}</text>'
-    )
-    parts.append(
-        f'<text x="{margin - 4}" y="{height - margin}" font-size="10" '
-        f'text-anchor="end" font-family="sans-serif">{ylo:.3g}</text>'
-    )
-    parts.append(
-        f'<text x="{margin - 4}" y="{margin + 4}" font-size="10" '
-        f'text-anchor="end" font-family="sans-serif">{yhi:.3g}</text>'
-    )
+def _text(x, y, size, body, anchor="", fill=""):
+    """One sans-serif <text> element; text-anchor and fill when given."""
+    anchor = anchor and f' text-anchor="{anchor}"'
+    fill = fill and f' fill="{fill}"'
+    return (f'<text x="{x}" y="{y}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{fill}>{body}</text>')
 
 
 def emit_svg(traces, path, kind: str = "trajectory", labels=None,
@@ -82,8 +39,9 @@ def emit_svg(traces, path, kind: str = "trajectory", labels=None,
 
     kind "trajectory" draws the 2-d iterate path of each trace (traces of
     other dimension are skipped with a warning); kind "error" draws
-    log10 of the recorded solution errors against the step counter.
-    Returns None when nothing is plottable.
+    log10 of the recorded solution errors against the step counter.  The
+    colours of PALETTE repeat after its sixth trace.  Returns None, and
+    writes nothing, when nothing is plottable.
     """
     traces = list(traces)
     if not traces:
@@ -124,9 +82,13 @@ def emit_svg(traces, path, kind: str = "trajectory", labels=None,
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
+        f'height="{height - 2 * margin}" fill="none" stroke="#999"/>',
     ]
-    parts += _frame(width, height, margin, title)
+    if title:
+        parts.append(_text(f"{width / 2:.0f}", margin - 8, 13, title, "middle"))
     if kind == "trajectory":
         # axes through the origin when visible
         if xlo < 0 < xhi:
@@ -141,13 +103,21 @@ def emit_svg(traces, path, kind: str = "trajectory", labels=None,
                 f'<line x1="{margin}" y1="{py:.2f}" x2="{width - margin}" '
                 f'y2="{py:.2f}" stroke="#ddd"/>'
             )
-    for (xs, ys), color in zip(series, PALETTE):
-        px = margin + (xs - xlo) * sx
-        py = height - margin - (ys - ylo) * sy
-        parts.append(_polyline(px, py, color))
-    _legend(parts, kept_labels, width, margin)
-    _axis_labels(parts, xlo, xhi, ylo, yhi, width, height, margin)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
+    for (xs, ys), color in zip(series, colors):
+        px = (margin + (xs - xlo) * sx).tolist()
+        py = (height - margin - (ys - ylo) * sy).tolist()
+        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(px, py)])
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.5"/>')
+    parts += [_text(width - margin - 8, margin + 16 + 14 * i, 11, label, "end", color)
+              for i, (label, color) in enumerate(zip(kept_labels, colors))]
+    parts += [
+        _text(margin, height - margin + 14, 10, f"{xlo:.3g}"),
+        _text(width - margin, height - margin + 14, 10, f"{xhi:.3g}", "end"),
+        _text(margin - 4, height - margin, 10, f"{ylo:.3g}", "end"),
+        _text(margin - 4, margin + 4, 10, f"{yhi:.3g}", "end"),
+        "</svg>",
+    ]
+    _write_lines(path, parts)
     return path

@@ -299,6 +299,41 @@ def test_run_creates_the_report_directory(tmp_path, capsys):
         capsys.readouterr().out.splitlines()
 
 
+def test_run_creates_each_output_directory_at_its_first_write(tmp_path,
+                                                              capsys):
+    # lines in R^3 meet in a line: no errors.svg, and the trajectories of
+    # d = 3 are skipped, so the SVG directory would stay empty
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "csv" / "deep"
+    write_config(cfg, problem={"sets": [
+        {"type": "hyperplane", "normal": [0, 0, 1], "offset": 0},
+        {"type": "hyperplane", "normal": [0, 1, 0], "offset": 0}]},
+        x0=[1.0, 1.0, 1.0],
+        outputs={"csv": str(out), "svg": str(tmp_path / "svg")})
+    with pytest.warns(UserWarning) as record:
+        assert main(["run", str(cfg)]) == 0
+    assert str(record[-1].message) == "nothing to plot; no SVG written"
+    assert sorted(os.listdir(out)) == ["dr.csv", "map.csv", "new.csv",
+                                       "report.txt"]
+    assert not (tmp_path / "svg").exists()
+
+
+def test_readme_config_is_the_paper_config_of_example_paper():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Config format", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    paper = cli._PAPER
+    assert doc["problem"]["sets"] == paper["problem"]["sets"]
+    # the float64 normal of B, not (-0.5, cos(pi/6))
+    assert doc["problem"]["sets"][1]["normal"][0] == -0.49999999999999994
+    assert doc["problem"].get("intersection") is None
+    assert doc["problem"].get("intersection") == paper["problem"].get("intersection")
+    assert doc["x0"] == paper["x0"]
+    assert doc["iterations"] == paper["iterations"] == 30
+    assert doc["methods"] == paper["methods"]
+
+
 def test_integral_floats_are_accepted_as_integers(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     t = dict(RELAX_T, of={"op": "projection", "set": 0.0})
@@ -700,6 +735,25 @@ def test_verify_paper_problem_all_probes_pass(tmp_path, capsys):
     report = (tmp_path / "out/probes.txt").read_text()
     assert "PROBE new.lb1 PASS" in report
     assert "PROBE new.rate PASS" in report
+
+
+@pytest.mark.parametrize("flags, tol", [([], 1e-9), (["--tol", "1e-7"], 1e-7)])
+def test_verify_tol_reaches_the_trace_probes(tmp_path, capsys, monkeypatch,
+                                             flags, tol):
+    # the Fejer, gap and rate probes took their own default of 1e-9
+    seen = []
+    for name in ("fejer_check", "dc_gap_check", "rate_certificate"):
+        def record(*args, _probe=getattr(diagnostics, name), _name=name,
+                   **kwargs):
+            seen.append((_name, kwargs.get("tol")))
+            return _probe(*args, **kwargs)
+        monkeypatch.setattr(diagnostics, name, record)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["verify", str(cfg)] + flags) == 0
+    assert sorted(seen) == sorted(
+        [("fejer_check", tol), ("dc_gap_check", tol)] * 3
+        + [("rate_certificate", tol)])
 
 
 def test_verify_negative_control_fails(tmp_path, capsys):

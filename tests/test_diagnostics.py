@@ -50,6 +50,36 @@ def test_probe_config_validation():
         ProbeConfig(center=ORIGIN, radius=0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sample_count", 2.5, "sample_count must be an integer >= 1, got 2.5"),
+    ("sample_count", "7", "sample_count must be an integer >= 1, got '7'"),
+    ("sample_count", True, "sample_count must be an integer >= 1, got True"),
+    ("sample_count", 0, "sample_count must be an integer >= 1, got 0"),
+    ("sample_count", math.nan, "sample_count must be an integer >= 1, got nan"),
+    ("seed", 1.9, "probe seed must be an integer >= 0, got 1.9"),
+    ("seed", "3", "probe seed must be an integer >= 0, got '3'"),
+    ("seed", False, "probe seed must be an integer >= 0, got False"),
+    ("seed", -1, "probe seed must be an integer >= 0, got -1"),
+])
+def test_probe_counts_follow_the_integer_rule_at_construction(field, value,
+                                                              message):
+    # a fraction was truncated (2.5 drew 2 samples and reported samples=2),
+    # a string or a bool passed, and seed=1.9 failed only at the first draw
+    with pytest.raises(UsageError) as info:
+        ProbeConfig(center=ORIGIN, radius=1.0, **{field: value})
+    assert str(info.value) == message
+
+
+def test_integral_probe_counts_are_stored_as_ints():
+    probe = ProbeConfig(center=ORIGIN, radius=1.0, sample_count=3.0,
+                        seed=np.int64(4))
+    assert type(probe.sample_count) is int and probe.sample_count == 3
+    assert type(probe.seed) is int and probe.seed == 4
+    assert probe.samples.shape == (3, 2)
+    same = ProbeConfig(center=ORIGIN, radius=1.0, sample_count=3, seed=4)
+    assert probe.samples.tobytes() == same.samples.tobytes()
+
+
 def test_probe_center_is_a_copy_of_the_callers_point():
     c = np.zeros(2)
     probe = ProbeConfig(center=c, radius=1.0, sample_count=50, seed=3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,33 @@ def test_subgradient_projection_degenerate_subgradient():
     p = subgradient_projection(lambda x: 1.0, lambda x: np.zeros_like(x))
     with pytest.raises(DegenerateSubgradientError):
         p(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("g, square", [
+    ([1e200, 0.0], "inf"),      # overflowed: @ warned before raising
+    ([1e-170, 0.0], "0.0"),     # underflowed: was called a zero subgradient
+    ([1e-160, 0.0], "1e-320"),  # subnormal: was divided by
+    ([0.0, 0.0], "0.0"),
+])
+def test_subgradient_square_outside_the_normal_range_is_degenerate(g, square):
+    p = subgradient_projection(lambda x: 1.0, lambda x: np.array(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSubgradientError) as info:
+            p(np.array([1.0, 2.0]))
+    assert str(info.value) == (
+        f"subgradient g(x) . g(x) = {square} is outside the normal float "
+        "range (2.2e-308 to 1.8e308) at a point where f(x) > 0")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 17, 64, 100])
+def test_subgradient_step_keeps_the_bits_of_the_plain_expression(d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-100, 1e-5, 1.0, 1e5, 1e100):
+        x = rng.standard_normal(d)
+        gx = rng.standard_normal(d) * scale
+        p = subgradient_projection(lambda v: 2.0, lambda v: gx)
+        assert p(x).tobytes() == (x - (2.0 / float(gx @ gx)) * gx).tobytes()
 
 
 # ---------------------------------------------------------------------------

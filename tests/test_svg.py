@@ -1,9 +1,13 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from cutterkit import Trace, UsageError, emit_svg
+from cutterkit.svg import PALETTE
+
+SIX_DIGEST = "3c276101c40d430bcfafe4a07b29fbf347dcb67bacf99ed070131eafc318f041"
 
 
 def two_d_trace(n=30):
@@ -72,3 +76,31 @@ def test_svg_output_is_deterministic(tmp_path):
     a = emit_svg([two_d_trace()], str(tmp_path / "a.svg"), kind="trajectory")
     b = emit_svg([two_d_trace()], str(tmp_path / "b.svg"), kind="trajectory")
     assert open(a).read() == open(b).read()
+
+
+def test_palette_repeats_after_six_traces(tmp_path):
+    # zipped with the six colours, 8 traces gave 6 polylines and 6 entries
+    labels = [f"m{i}" for i in range(8)]
+    traces = [two_d_trace(20 + i) for i in range(8)]
+    colours = PALETTE + PALETTE[:2]
+    for kind in ("trajectory", "error"):
+        out = emit_svg(traces, str(tmp_path / f"{kind}.svg"), kind=kind,
+                       labels=labels)
+        assert polyline_point_counts(out) == [21 + i for i in range(8)]
+        text = open(out).read()
+        assert re.findall(r'<polyline [^>]*stroke="([^"]*)"', text) == colours
+        assert re.findall(r'fill="(#[^"]*)">(m[0-9])</text>', text) == \
+            list(zip(colours, labels))
+
+
+def test_six_traces_keep_their_bytes(tmp_path):
+    # the digest of the output before the palette cycled and the text
+    # elements shared one template
+    out = emit_svg([two_d_trace(10 + i) for i in range(6)],
+                   str(tmp_path / "six.svg"), kind="trajectory", title="six")
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == SIX_DIGEST
+
+
+def test_emit_svg_creates_its_directory(tmp_path):
+    out = emit_svg([two_d_trace()], str(tmp_path / "a" / "b" / "t.svg"))
+    assert open(out, "rb").read().count(b"\r") == 0
