@@ -76,8 +76,6 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
         "new": np.array([15.0 / 16.0, math.sqrt(3) / 16]),
     }
     for name, tr in named:
-        if tr.n_steps == 0:
-            continue
         if np.max(np.abs(tr.iterates[1] - expected[name])) > 1e-12:
             raise ProbeFailure(f"{name}: first iterate deviates from closed form")
         errs = np.asarray(tr.solution_errors)
@@ -187,6 +185,13 @@ def _load(config_path: str, seed, iters) -> ExperimentConfig:
     return cfg
 
 
+def _output(lines, path):
+    """Write lines to path, when there is one, and print them."""
+    if path:
+        configio._write_lines(path, lines)
+    print("\n".join(lines))
+
+
 def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     cfg = _load(config_path, seed, iters)
     if tol is not None and not tol > 0:  # checked before anything is written
@@ -201,10 +206,8 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
             f"method {name}: steps={trace.n_steps} "
             f"final_residual={trace.final_residual:.17g} final_error={last:.17g}"
         )
-    configio._write_lines(
-        cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")), report_lines)
-    for line in report_lines:
-        print(line)
+    _output(report_lines,
+            cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")))
     return EXIT_OK
 
 
@@ -241,9 +244,7 @@ def _verify_method(cfg, method, oracle, w, probe):
 
     if w is None:
         add("product" if method.driver == "product" else "fejer",
-            diagnostics.RegularityReport(
-                name="", passed=True, margin=math.inf, samples=0,
-                skipped=True, note="no intersection oracle"))
+            diagnostics.RegularityReport.skip("", "no intersection oracle"))
         return reports
     trace = _run_method(cfg, method, max_iter=max(cfg.iterations, 2000),
                         residual_tol=1e-10)
@@ -276,12 +277,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     for method in cfg.methods:
         reports += _verify_method(cfg, method, oracle, w, probe)
 
-    lines = [rep.line() for rep in reports]
-    report_path = cfg.outputs.get("report")
-    if report_path:
-        configio._write_lines(report_path, lines)
-    for line in lines:
-        print(line)
+    _output([rep.line() for rep in reports], cfg.outputs.get("report"))
     failed = [r for r in reports if not r.skipped and not r.passed]
     if failed:
         print(f"{len(failed)} probe(s) failed", file=sys.stderr)
@@ -301,18 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--out", default="paper-example", help="output directory")
     ep.add_argument("--iters", type=int, default=30)
 
-    rp = sub.add_parser("run", help="run the methods of a JSON config")
-    rp.add_argument("config")
-    rp.add_argument("--seed", type=int, default=None)
-    rp.add_argument("--iters", type=int, default=None)
-    rp.add_argument("--tol", type=float, default=None,
-                    help="stop every method once its residual drops to this")
-
-    vp = sub.add_parser("verify", help="run the diagnostics battery")
-    vp.add_argument("config")
-    vp.add_argument("--seed", type=int, default=None)
-    vp.add_argument("--iters", type=int, default=None)
-    vp.add_argument("--tol", type=float, default=None)
+    for name, about, tol_help in (
+            ("run", "run the methods of a JSON config",
+             "stop every method once its residual drops to this"),
+            ("verify", "run the diagnostics battery", None)):
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("config")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--iters", type=int)
+        sp.add_argument("--tol", type=float, help=tol_help)
     return p
 
 

@@ -54,8 +54,9 @@ class ProbeConfig:
         object.__setattr__(self, "sample_count",
                            _count(self.sample_count, "sample_count", 1))
         object.__setattr__(self, "seed", _count(self.seed, "probe seed"))
-        if not self.tolerance > 0:
-            raise UsageError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise UsageError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance}")
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -93,6 +94,12 @@ class RegularityReport:
     skipped: bool = False
     note: str = ""
 
+    @classmethod
+    def skip(cls, name, note, seed=None, passed=True) -> RegularityReport:
+        """A SKIP of no samples, its margin inf, or -inf when not passed."""
+        return cls(name=name, passed=passed, margin=math.inf if passed else -math.inf,
+                   samples=0, seed=seed, skipped=True, note=note)
+
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         seed = self.seed if self.seed is not None else "-"
@@ -123,7 +130,7 @@ def _eval_batch(op: Operator, x: np.ndarray) -> np.ndarray:
 
 def _report(name, margins, points, tolerance, seed=None, **extra) -> RegularityReport:
     margins = np.asarray(margins, dtype=float)
-    bad = np.where(margins < -tolerance)[0]
+    bad = np.where(~(margins >= -tolerance))[0]  # NaN too
     violations = [
         (name, points[i].copy(), float(margins[i]))
         for i in bad[:MAX_RECORDED_VIOLATIONS]
@@ -151,7 +158,7 @@ def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
         raise UsageError("fixed_sample must contain at least one point")
     for op in ops:
         moved = _norms(_eval_batch(op, zs) - zs)
-        if np.any(moved > probe.tolerance):
+        if not np.all(moved <= probe.tolerance):  # a NaN image moves z
             raise UsageError(
                 f"fixed_sample contains non-fixed points of {op.label}: "
                 f"max ||T(z) - z|| = {float(moved.max()):.3e}"
@@ -241,24 +248,19 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
                      * max{||T(x)-x||^2, ||UT(x)-T(x)||^2} / d(x, Fix T n Fix U).
 
     Vacuous (SKIP) when lam == mu, since alpha = 0.  Samples inside the
-    intersection (distance below tolerance) are skipped.
+    intersection (distance at most tolerance) are skipped; a NaN distance
+    is kept, and fails.
     """
     if pair.lam == pair.mu:
-        return RegularityReport(
-            name="lb2", passed=True, margin=math.inf, samples=0,
-            seed=probe.seed, skipped=True, note="vacuous: lam == mu",
-        )
+        return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
     a_, b_ = alpha_beta(pair)
     coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
     dist = getattr(intersection_distance, "distance", intersection_distance)
     x = probe.samples
     d = np.asarray(dist(x), dtype=float)
-    keep = d > probe.tolerance
+    keep = ~(d <= probe.tolerance)
     if not np.any(keep):
-        return RegularityReport(
-            name="lb2", passed=True, margin=math.inf, samples=0,
-            seed=probe.seed, skipped=True, note="all samples degenerate",
-        )
+        return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
     if not keep.all():
         # the kept rows as a batch of their own: BLAS sums a row in an
         # order that depends on its place in the batch, so rows of T(X)
@@ -389,12 +391,9 @@ def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,
     and reported as SKIP.
     """
     if not trace.residuals or trace.residuals[-1] > converged_tol:
-        return RegularityReport(
-            name="rate", passed=False, margin=-math.inf, samples=0,
-            skipped=True,
-            note=f"inconclusive: final residual {trace.final_residual:.3e} "
-                 f"> {converged_tol:.3e}",
-        )
+        return RegularityReport.skip(
+            "rate", f"inconclusive: final residual {trace.final_residual:.3e} "
+                    f"> {converged_tol:.3e}", passed=False)
     x_star = as_point(x_star, trace.iterates.shape[1])
     q = qlinear_rate(epsilon, delta, nu_value)
     errs = _norms(trace.iterates - x_star)
@@ -407,11 +406,11 @@ def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,
     return _report("rate", margins, trace.iterates[:-1], tol, q_factor=q_factor)
 
 
-def fejer_check(trace: Trace, w, intersection_distance=None, x_star=None,
+def fejer_check(trace: Trace, w, intersection_distance=None,
                 tol: float = 1e-9) -> RegularityReport:
     """Certify monotonicity ||x^{k+1} - w|| <= ||x^k - w|| along the trace,
     plus the localization bound ||x^k - x*|| <= 2 d(x^k, C) when an
-    intersection distance is available (x* defaults to the final iterate).
+    intersection distance is available, with x* the final iterate.
     """
     w = as_point(w, trace.iterates.shape[1])
     dists = _norms(trace.iterates - w)
@@ -419,9 +418,8 @@ def fejer_check(trace: Trace, w, intersection_distance=None, x_star=None,
     points = trace.iterates[:-1]
     if intersection_distance is not None:
         dist = getattr(intersection_distance, "distance", intersection_distance)
-        xs = trace.final if x_star is None else as_point(x_star, w.size)
         loc = 2.0 * np.asarray(dist(trace.iterates), dtype=float) \
-            - _norms(trace.iterates - xs)
+            - _norms(trace.iterates - trace.final)
         margins = np.concatenate([margins, loc])
         points = np.vstack([points, trace.iterates])
     return _report("fejer", margins, points, tol)

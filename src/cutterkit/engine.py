@@ -170,7 +170,7 @@ def _steps(config: IterationConfig, lo: float, hi: float, divisor: float):
     constant = not callable(config.alpha) and np.isscalar(config.alpha)
     for k in count():
         a = config.alpha_at(k)
-        if a < lo or a > hi:
+        if not lo <= a <= hi:  # NaN too
             raise UsageError(f"step {k}: {a} outside [{lo}, {hi}]")
         if constant:
             yield from repeat(a / divisor)
@@ -180,16 +180,14 @@ def _steps(config: IterationConfig, lo: float, hi: float, divisor: float):
 def _run_product(t: Operator, u: Operator, config: IterationConfig, hi: float,
                  divisor: float, solution) -> Trace:
     """Run W = U T with steps c_k = a_k / divisor, a_k in [eps, hi]."""
-    for op in (t, u):
-        if op.dim is not None and op.dim != config.x0.size:
-            raise UsageError(
-                f"operator dimension {op.dim} does not match x0 dimension "
-                f"{config.x0.size}"
-            )
+    w = compose(u, t)  # checks T against U
+    if w.dim is not None and w.dim != config.x0.size:
+        raise UsageError(f"operator dimension {w.dim} does not match x0 "
+                         f"dimension {config.x0.size}")
     lo = config.epsilon
     if hi < lo:
         raise UsageError(f"empty step window [{lo}, {hi}]")
-    return _run(compose(u, t), config.x0, _steps(config, lo, hi, divisor),
+    return _run(w, config.x0, _steps(config, lo, hi, divisor),
                 config.max_iter, config.residual_tol, solution)
 
 

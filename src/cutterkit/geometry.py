@@ -291,7 +291,7 @@ def _constraint_rows(cset):
     )
 
 
-def _solve_affine(a, b, tol: float = 1e-9):
+def _solve_affine(a, b):
     """(anchor, null_rows) of the intersection of two affine sets.
 
     The anchor is the least-squares solution of the stacked constraints,
@@ -310,7 +310,7 @@ def _solve_affine(a, b, tol: float = 1e-9):
     # * eps; a second factorization is needed only for the null rows
     anchor, _, rank, _ = np.linalg.lstsq(m, c, rcond=None)
     anchor = as_point(anchor)
-    if _norm(m @ anchor - c) > tol * (1.0 + _norm(c)):
+    if _norm(m @ anchor - c) > 1e-9 * (1.0 + _norm(c)):
         raise InfeasibleError("affine sets have empty intersection")
     if rank == m.shape[1]:
         return anchor, np.empty((0, m.shape[1]))
@@ -318,8 +318,9 @@ def _solve_affine(a, b, tol: float = 1e-9):
     return anchor, vt[rank:]
 
 
-def intersect_affine(a, b, tol: float = 1e-9) -> AffineSubspace:
+def intersect_affine(a, b) -> AffineSubspace:
     """Intersection of two affine sets as an AffineSubspace: the
     least-squares anchor and an orthonormal null-space basis.  Raises
-    InfeasibleError when the sets do not meet."""
-    return AffineSubspace(*_solve_affine(a, b, tol))
+    InfeasibleError when the sets do not meet: when the anchor misses the
+    stacked constraints m x = c by more than 1e-9 (1 + ||c||)."""
+    return AffineSubspace(*_solve_affine(a, b))

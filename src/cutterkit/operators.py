@@ -42,14 +42,10 @@ class Operator:
         return f"Operator({self.label})"
 
 
-def _zero_distance(x):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1])
-
-
 def identity(dim=None) -> Operator:
     """The identity map; its fixed set is the whole space."""
-    return Operator(lambda x: x, fix_distance=_zero_distance, label="I", dim=dim)
+    return Operator(lambda x: x, fix_distance=lambda x: np.zeros(np.shape(x)[:-1]),
+                    label="I", dim=dim)
 
 
 def projection_operator(cset: ConvexSet) -> Operator:
@@ -63,10 +59,10 @@ def projection_operator(cset: ConvexSet) -> Operator:
 
 
 def relax(t: Operator, lam: float) -> Operator:
-    """lam-relaxation x + lam (T(x) - x); fixed set preserved for lam > 0."""
+    """lam-relaxation x + lam (T(x) - x), 0 <= lam < inf; Fix T kept for lam > 0."""
     lam = float(lam)
-    if lam < 0:
-        raise UsageError(f"relaxation parameter must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise UsageError(f"relaxation parameter must be >= 0 and finite, got {lam}")
     if lam == 1.0:
         return Operator(t._fn, t.fix_distance, t.label, t.dim)
     if lam == 0.0:

@@ -26,16 +26,18 @@ def _scale(lo, hi):
 
 
 def _text(x, y, size, body, anchor="", fill=""):
-    """One sans-serif <text> element; text-anchor and fill when given."""
+    """One sans-serif <text>, its body XML-escaped; text-anchor and fill if given."""
     anchor = anchor and f' text-anchor="{anchor}"'
     fill = fill and f' fill="{fill}"'
+    # by hand: xml.sax.saxutils imports urllib.request, ssl and email (3 MB)
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{x}" y="{y}" font-size="{size}"{anchor} '
             f'font-family="sans-serif"{fill}>{body}</text>')
 
 
 def emit_svg(traces, path, kind: str = "trajectory", labels=None,
-             title: str | None = None, width: int = 640, height: int = 480):
-    """Write an SVG plot of the given traces and return the path.
+             title: str | None = None):
+    """Write a 640 x 480 SVG plot of the given traces and return the path.
 
     kind "trajectory" draws the 2-d iterate path of each trace (traces of
     other dimension are skipped with a warning); kind "error" draws
@@ -51,7 +53,7 @@ def emit_svg(traces, path, kind: str = "trajectory", labels=None,
     if labels is None:
         labels = [f"trace{i}" for i in range(len(traces))]
 
-    margin = 40
+    width, height, margin = 640, 480, 40
     series = []
     kept_labels = []
     for trace, label in zip(traces, labels):

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -216,6 +217,8 @@ MAP_NEW = [{"name": "map", "driver": "map"}, dict(PRODUCT, name="new", alpha=1.0
     ("run", ["--iters", "0"], "--iters must be >= 1, got 0"),
     ("verify", ["--iters", "-5"], "--iters must be >= 1, got -5"),
     ("verify", ["--iters", "0"], "--iters must be >= 1, got 0"),
+    ("verify", ["--tol", "inf"], "tolerance must be positive and finite, got inf"),
+    ("verify", ["--tol", "nan"], "tolerance must be positive and finite, got nan"),
 ])
 def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
         tmp_path, capsys, command, flags, message):
@@ -227,6 +230,22 @@ def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
         "csv": str(out), "svg": str(out), "report": str(out / "report.txt")})
     assert main([command, str(cfg)] + flags) == 3
     assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_non_finite_relax_lambda_is_a_validation_error_before_writing(
+        tmp_path, capsys, command, lam):
+    # json reads Infinity and NaN, so the config can carry them
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, methods=[dict(PRODUCT, name="new", T={
+        "op": "relax", "lambda": lam, "of": {"op": "projection", "set": 0}})],
+        outputs={"csv": str(out), "report": str(out / "report.txt")})
+    assert main([command, str(cfg)]) == 3
+    assert capsys.readouterr().err == ("validation error: relaxation parameter "
+                                       f"must be >= 0 and finite, got {lam}\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -316,6 +335,19 @@ def test_run_creates_each_output_directory_at_its_first_write(tmp_path,
     assert sorted(os.listdir(out)) == ["dr.csv", "map.csv", "new.csv",
                                        "report.txt"]
     assert not (tmp_path / "svg").exists()
+
+
+def test_svg_text_is_xml_escaped(tmp_path, capsys):
+    # a method name is a plain file name, and may hold & and <
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, methods=[{"name": "a&b<c", "driver": "map"}],
+                 outputs={"csv": str(out), "svg": str(out)})
+    assert main(["run", str(cfg)]) == 0
+    for name in ("trajectories.svg", "errors.svg"):
+        texts = [e.text for e in ET.parse(out / name).iter()
+                 if e.tag.endswith("text")]
+        assert "a&b<c" in texts
 
 
 def test_readme_config_is_the_paper_config_of_example_paper():

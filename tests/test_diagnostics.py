@@ -50,6 +50,14 @@ def test_probe_config_validation():
         ProbeConfig(center=ORIGIN, radius=0.0)
 
 
+@pytest.mark.parametrize("tol", (0.0, -1.0, math.inf, math.nan))
+def test_probe_tolerance_is_positive_and_finite(tol):
+    # at tolerance inf every margin would pass
+    with pytest.raises(UsageError, match=f"^tolerance must be positive and "
+                                         f"finite, got {tol}$"):
+        ProbeConfig(center=ORIGIN, radius=1.0, tolerance=tol)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("sample_count", 2.5, "sample_count must be an integer >= 1, got 2.5"),
     ("sample_count", "7", "sample_count must be an integer >= 1, got '7'"),
@@ -158,6 +166,31 @@ def test_wrong_batch_shape_is_rejected_by_name():
     op = Operator(lambda x: x[..., :1], label="truncating")
     with pytest.raises(UsageError, match="truncating"):
         relaxed_cutter_check(op, 1.0, [ORIGIN], PROBE)
+
+
+def _nan_off(z):
+    """Fixes z and maps every other point to NaN."""
+    return Operator(lambda x: np.where((x == z).all(axis=-1, keepdims=True),
+                                       x, np.nan), label="nan-off-z")
+
+
+@pytest.mark.parametrize("check", [
+    lambda t: cutter_check(t, [ORIGIN], PROBE),
+    lambda t: relaxed_cutter_check(t, 1.5, [ORIGIN], PROBE),
+    lambda t: demicontraction_check(t, 0.5, [ORIGIN], PROBE),
+], ids=["cutter", "relaxed-cutter", "demicontraction"])
+def test_nan_margins_fail(check):
+    rep = check(_nan_off(ORIGIN))
+    assert not rep.passed and math.isnan(rep.margin)
+    assert len(rep.violations) == diagnostics.MAX_RECORDED_VIOLATIONS
+    assert " FAIL margin=nan samples=2000 " in rep.line()
+
+
+def test_a_fixed_sample_point_mapped_to_nan_is_not_fixed():
+    op = Operator(lambda x: np.full_like(x, np.nan), label="nan")
+    with pytest.raises(UsageError, match=r"^fixed_sample contains non-fixed points "
+                                         r"of nan: max \|\|T\(z\) - z\|\| = nan$"):
+        relaxed_cutter_check(op, 1.5, [ORIGIN], PROBE)
 
 
 def test_cutter_check_catches_over_relaxation():
@@ -273,6 +306,24 @@ def test_lb2_vacuous_when_lambda_equals_mu():
                     PROBE)
     assert rep.skipped and rep.passed
     assert "SKIP" in rep.line()
+
+
+@pytest.mark.parametrize("nan_rows, bad", [
+    (slice(None), diagnostics.MAX_RECORDED_VIOLATIONS), (slice(0, 3), 3)],
+    ids=["all", "three"])
+def test_lb2_keeps_nan_distances_and_fails(nan_rows, bad):
+    # a NaN oracle neither skips lb2 nor drops its samples as degenerate
+    t, u = new_method_ops()
+    dist = intersect_affine(LINE_A, LINE_B).distance
+
+    def oracle(x):
+        d = dist(x)
+        d[nan_rows] = np.nan
+        return d
+
+    rep = lb2_check(t, u, RelaxationPair(3.0, 1.0), oracle, PROBE)
+    assert not rep.skipped and not rep.passed
+    assert rep.samples == 2000 and len(rep.violations) == bad
 
 
 def test_lb2_random_halfspace_pair_with_wedge_oracle():

@@ -137,8 +137,13 @@ def test_iterate_dimension_mismatch():
     t, u = new_method_ops()
     cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=[1.0, 0.0, 0.0],
                           epsilon=1.0, alpha=1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^operator dimension 2 does not "
+                                         "match x0 dimension 3$"):
         iterate(t, u, cfg)
+    # T against U is compose's check
+    u3 = projection_operator(Hyperplane([0.0, 1.0, 0.0], 0.0))
+    with pytest.raises(UsageError, match="^operator dimensions differ: 3 vs 2$"):
+        iterate(t, u3, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +440,18 @@ def test_overflowing_iterate_raises_at_its_step_with_the_partial_trace(x0, step)
     assert tr.solution_errors == [abs(x[0]) for x in xs]
 
 
-def test_nan_iterate_raises_with_the_partial_trace():
-    # a NaN alpha passes the window test, and makes the iterate NaN
+@pytest.mark.parametrize("alpha, step", [
+    (math.nan, 0), ([1.0, math.nan, 1.0], 1),
+    (lambda k: 1.0 if k < 3 else math.nan, 3)])
+def test_nan_alpha_is_outside_the_step_window(alpha, step):
+    # a NaN alpha_k fails the window test at its step, before it could
+    # make the iterate NaN
     t, u = new_method_ops()
-    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=1.0,
-                          alpha=lambda k: 1.0 if k < 3 else math.nan,
-                          max_iter=10, residual_tol=1e-300)
-    with pytest.raises(DivergenceError,
-                       match="^non-finite iterate at step 3$") as exc:
+    cfg = IterationConfig(pair=RelaxationPair(3.0, 1.0), x0=X0, epsilon=0.5,
+                          alpha=alpha, max_iter=10, residual_tol=1e-300)
+    with pytest.raises(UsageError,
+                       match=rf"^step {step}: nan outside \[0\.5, 1\.5\]$"):
         iterate(t, u, cfg)
-    assert exc.value.trace.iterates.shape == (4, 2)
-    assert exc.value.trace.step_sizes == [0.25] * 3
 
 
 def test_user_operators_returning_lists_or_int_arrays():

@@ -86,6 +86,13 @@ def test_relax_rejects_negative():
         relax(projection_operator(LINE_A), -0.5)
 
 
+@pytest.mark.parametrize("lam", (math.inf, math.nan))
+def test_relax_rejects_a_non_finite_lambda(lam):
+    with pytest.raises(UsageError, match=f"^relaxation parameter must be >= 0 "
+                                         f"and finite, got {lam}$"):
+        relax(projection_operator(LINE_A), lam)
+
+
 def test_relax_composition_law():
     rng = np.random.default_rng(1)
     t = projection_operator(LINE_B)
