@@ -126,8 +126,7 @@ def _unique_point(cfg):
     return None
 
 
-def _run_method(cfg, method, solution=None, max_iter=None,
-                residual_tol=1e-300) -> Trace:
+def _run_method(cfg, method, residual_tol, solution=None, max_iter=None) -> Trace:
     iters = max_iter if max_iter is not None else cfg.iterations
     a, b = cfg.sets[0], cfg.sets[1]
     if method.driver == "map":
@@ -147,16 +146,14 @@ def _run_method(cfg, method, solution=None, max_iter=None,
 
 def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
     """Run every method of cfg against the unique intersection point, when
-    there is one; write each trace's CSV into csv_dir and, given svg_dir,
-    the trajectory plot and, given that point, the error plot, titled by
-    titles.  Returns [(name, trace), ...]."""
+    there is one; then, once every run has ended, write each trace's CSV
+    into csv_dir and, given svg_dir, the trajectory plot and, given that
+    point, the error plot, titled by titles.  Returns [(name, trace), ...]."""
     solution = _unique_point(cfg)
-    named = []
-    for method in cfg.methods:
-        trace = _run_method(cfg, method, solution=solution,
-                            residual_tol=residual_tol)
-        named.append((method.name, trace))
-        configio.write_trace_csv(os.path.join(csv_dir, f"{method.name}.csv"), trace)
+    named = [(method.name, _run_method(cfg, method, residual_tol, solution))
+             for method in cfg.methods]
+    for name, trace in named:
+        configio.write_trace_csv(os.path.join(csv_dir, f"{name}.csv"), trace)
     if svg_dir:
         labels = [n for n, _ in named]
         traces = [t for _, t in named]
@@ -211,55 +208,52 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     return EXIT_OK
 
 
+# (nu, epsilon) of the baselines.  MAP is the product method with
+# lam = mu = 1 and alpha = nu, which [eps, 2 - eps] holds up to
+# eps = 2 - nu; DR's (P_B)_2 (P_A)_2 is a 2-relaxed cutter.
+_BASELINES = {"map": (nu(RelaxationPair(1.0, 1.0)),
+                      2.0 - nu(RelaxationPair(1.0, 1.0))),
+              "dr": (2.0, 1.0)}
+
+
 def _verify_method(cfg, method, oracle, w, probe):
     """The probe reports of one method, in print order.
 
     A product method first gets its operator probes and, given an
-    intersection oracle and w = its projection of x0, the product probes,
-    all on images of the probe sample computed once for the method.
-    Every method with an oracle then gets the Fejer and per-step gap
-    probes on a run to residual 1e-10, and a product method the rate
-    certificate on that run.
+    intersection oracle and w = its projection of x0, the product probes
+    and kappa_hat, all on images of the probe sample computed once for
+    the method.  Every method with an oracle then gets the Fejer and
+    per-step gap probes on a run to residual 1e-10, and a product method
+    the rate certificate on that run.
     """
-    reports = []
-
-    def add(name, rep):
-        rep.name = f"{method.name}.{name}"
-        reports.append(rep)
-
-    a, b = cfg.sets[0], cfg.sets[1]
-    if method.driver == "map":
-        # alternating projections = the product method with lam = mu = 1
-        # and alpha = nu, which [eps, 2 - eps] holds up to eps = 2 - nu
-        n = nu(RelaxationPair(1.0, 1.0))
-        epsilon = 2.0 - n
-    elif method.driver == "dr":  # (P_B)_2 (P_A)_2 is a 2-relaxed cutter
-        n, epsilon = 2.0, 1.0
-    else:
-        n, epsilon = nu(method.pair), method.epsilon
-        named, kappa_hat = diagnostics._product_probes(
-            a, b, method.t, method.u, method.pair, w, oracle, probe)
-        for name, rep in named:
-            add(name, rep)
-
-    if w is None:
-        add("product" if method.driver == "product" else "fejer",
-            diagnostics.RegularityReport.skip("", "no intersection oracle"))
-        return reports
-    trace = _run_method(cfg, method, max_iter=max(cfg.iterations, 2000),
-                        residual_tol=1e-10)
-    tol = probe.tolerance
-    add("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle,
-                                         tol=tol))
-    add("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon, tol=tol))
+    named, kappa = [], None
     if method.driver == "product":
-        kappa = kappa_hat()
-        rate_rep = diagnostics.rate_certificate(
-            trace, trace.final, epsilon, delta_projections(method.pair, kappa), n,
-            tol=tol)
-        rate_rep.kappa_hat = kappa
-        add("rate", rate_rep)
-    return reports
+        n, epsilon = nu(method.pair), method.epsilon
+        named, kappa = diagnostics._product_probes(
+            cfg.sets[0], cfg.sets[1], method.t, method.u, method.pair, w, oracle,
+            probe)
+    else:
+        n, epsilon = _BASELINES[method.driver]
+    if w is None:
+        named.append(("product" if method.driver == "product" else "fejer",
+                      diagnostics.RegularityReport.skip("", "no intersection oracle")))
+    else:
+        trace = _run_method(cfg, method, 1e-10, max_iter=max(cfg.iterations, 2000))
+        tol = probe.tolerance
+        named += [
+            ("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle,
+                                              tol=tol)),
+            ("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon, tol=tol)),
+        ]
+        if kappa is not None:
+            rate = diagnostics.rate_certificate(
+                trace, trace.final, epsilon, delta_projections(method.pair, kappa),
+                n, tol=tol)
+            rate.kappa_hat = kappa
+            named.append(("rate", rate))
+    for name, rep in named:
+        rep.name = f"{method.name}.{name}"
+    return [rep for _, rep in named]
 
 
 def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:

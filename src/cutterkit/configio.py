@@ -84,22 +84,19 @@ def operator_from_dict(obj, sets) -> Operator:
     """Build an operator from a projection/relax/compose tree."""
     op = _field(obj, "op", "operator spec", None)
     where = f"operator spec {op!r}"
-    try:
-        if op == "projection":
-            index = _field(obj, "set", where, _integer)
-            if not 0 <= index < len(sets):
-                raise ConfigError(f"{where} references unknown set index {index}")
-            return projection_operator(sets[index])
-        if op == "relax":
-            return relax(operator_from_dict(obj["of"], sets),
-                         _field(obj, "lambda", where))
-        if op == "compose":
-            return compose(operator_from_dict(obj["outer"], sets),
-                           operator_from_dict(obj["inner"], sets))
-        if op == "identity":
-            return identity()
-    except KeyError as exc:
-        raise ConfigError(f"{where} lacks field {exc}") from None
+    if op == "projection":
+        index = _field(obj, "set", where, _integer)
+        if not 0 <= index < len(sets):
+            raise ConfigError(f"{where} references unknown set index {index}")
+        return projection_operator(sets[index])
+    if op == "relax":
+        return relax(operator_from_dict(_field(obj, "of", where, None), sets),
+                     _field(obj, "lambda", where))
+    if op == "compose":
+        return compose(operator_from_dict(_field(obj, "outer", where, None), sets),
+                       operator_from_dict(_field(obj, "inner", where, None), sets))
+    if op == "identity":
+        return identity()
     raise ConfigError(f"unknown operator spec {op!r}")
 
 

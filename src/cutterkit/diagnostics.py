@@ -241,6 +241,20 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, margins)
 
 
+def _kept(probe: ProbeConfig, dist):
+    """(x, d(x)) over the probe sample's rows x with d(x) not at most the
+    tolerance, NaN included, for a ConvexSet or distance callable dist.
+    x is the sample itself when every row is kept, else a batch of its
+    own: BLAS sums a row in an order that depends on its place in a batch.
+    """
+    x = probe.samples
+    d = np.asarray(getattr(dist, "distance", dist)(x), dtype=float)
+    keep = ~(d <= probe.tolerance)
+    if keep.all():
+        return x, d
+    return x[keep], d[keep]
+
+
 def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
               intersection_distance, probe: ProbeConfig) -> RegularityReport:
     """Certify the residual lower bound
@@ -248,24 +262,15 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
                      * max{||T(x)-x||^2, ||UT(x)-T(x)||^2} / d(x, Fix T n Fix U).
 
     Vacuous (SKIP) when lam == mu, since alpha = 0.  Samples inside the
-    intersection (distance at most tolerance) are skipped; a NaN distance
-    is kept, and fails.
+    intersection are skipped as _kept does; a NaN distance fails.
     """
     if pair.lam == pair.mu:
         return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
     a_, b_ = alpha_beta(pair)
     coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
-    dist = getattr(intersection_distance, "distance", intersection_distance)
-    x = probe.samples
-    d = np.asarray(dist(x), dtype=float)
-    keep = ~(d <= probe.tolerance)
-    if not np.any(keep):
+    x, d = _kept(probe, intersection_distance)
+    if not d.size:
         return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
-    if not keep.all():
-        # the kept rows as a batch of their own: BLAS sums a row in an
-        # order that depends on its place in the batch, so rows of T(X)
-        # may differ from T of the kept rows in the last bit
-        x, d = x[keep], d[keep]
     tx = _eval_batch(t, x)
     utx = _eval_batch(u, tx)
     biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
@@ -273,21 +278,16 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     return _report("lb2", margins, x, probe.tolerance, probe.seed)
 
 
-def regularity_modulus_estimate(t: Operator, probe: ProbeConfig) -> float:
+def regularity_modulus_estimate(t: Operator, fixed_set, probe: ProbeConfig) -> float:
     """delta_hat = min over samples of ||T(x) - x|| / d(x, Fix T).
 
-    An upper bound on the true linear-regularity modulus over the sampled
-    ball; samples with d(x, Fix T) below tolerance are skipped.
+    An upper bound on the true linear-regularity modulus over the samples
+    _kept keeps; fixed_set, Fix T, is a ConvexSet or a distance callable.
     """
-    if t.fix_distance is None:
-        raise UsageError(f"operator {t.label} carries no fix_distance oracle")
-    x = probe.samples
-    d = np.asarray(t.fix_distance(x), dtype=float)
-    keep = d > probe.tolerance
-    if not np.any(keep):
+    x, d = _kept(probe, fixed_set)
+    if not d.size:
         raise EstimationError("all samples are degenerate (on the fixed set)")
-    x = x[keep]
-    return float(np.min(_norms(_eval_batch(t, x) - x) / d[keep]))
+    return float(np.min(_norms(_eval_batch(t, x) - x) / d))
 
 
 def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
@@ -295,17 +295,16 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
 
     A lower bound on the true linear-regularity constant of the pair;
     grows monotonically with the sample count.  a, b and intersection may
-    each be a ConvexSet or a distance callable (for the true A n B).
+    each be a ConvexSet or a distance callable (for the true A n B).  It
+    reads the samples _kept keeps, so a NaN distance gives a NaN estimate.
     """
-    dist = getattr(intersection, "distance", intersection)
-    x = probe.samples
-    dm = np.maximum(np.asarray(getattr(a, "distance", a)(x)),
-                    np.asarray(getattr(b, "distance", b)(x)))
-    keep = dm > probe.tolerance
-    if not np.any(keep):
+    x, dm = _kept(probe, lambda v: np.maximum(
+        np.asarray(getattr(a, "distance", a)(v)),
+        np.asarray(getattr(b, "distance", b)(v))))
+    if not dm.size:
         raise EstimationError("all samples are degenerate (max distance ~ 0)")
-    di = np.asarray(dist(x if keep.all() else x[keep]), dtype=float)
-    return float(np.max(di / dm[keep]))
+    di = np.asarray(getattr(intersection, "distance", intersection)(x), dtype=float)
+    return float(np.max(di / dm))
 
 
 def _answering(x, value, f):
@@ -320,9 +319,9 @@ def _answering(x, value, f):
 def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
                     probe: ProbeConfig):
     """The sampling probes of the product method U T on the sets A, B, as
-    (name, report) pairs in print order, and a callable that gives its
-    kappa_hat: the operator probes, and, given w, a point of the
-    intersection, the product probes.
+    (name, report) pairs in print order, and its kappa_hat: the operator
+    probes, and, given w, a point of the intersection, the product probes
+    and kappa_hat (else None).
 
     Each probe is a call of its public function, so whatever wraps those
     (the benchmark's tracing) still sees every probe.  It runs on
@@ -330,13 +329,12 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     here once: P_A(X), P_B(X), T(X), U(X), U(T(X)) and, for lb2 and
     kappa_hat, d(X, A n B).  P_A(X), P_B(X) and U(X) are dropped after
     their last use (kappa_hat keeps ||X - P(X)|| where the set measures
-    distance that way), and T(X) and U(T(X)) when this returns.  The
+    distance that way), and T(X) and U(T(X)) before kappa_hat.  The
     images are the ones each probe would evaluate, so the reports are
     the same bit for bit; lb2 reads them when it keeps every sample.
     """
     def shared(op, at, image):  # op, answering on the array at with image
-        return Operator(_answering(at, image, op._fn), op.fix_distance,
-                        op.label, op.dim)
+        return Operator(_answering(at, image, op._fn), op.label, op.dim)
 
     x = probe.samples
     pts = x[:5]  # membership points for the single-operator checks
@@ -376,7 +374,8 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
         ("lb1", lb1_check(t, u, pair, [w], probe)),
         ("lb2", lb2_check(t, u, pair, oracle, probe)),
     ]
-    return named, lambda: pair_regularity_estimate(*dists, oracle, probe)
+    del t, u, tx  # T(X) and U(T(X)) go before kappa_hat
+    return named, pair_regularity_estimate(*dists, oracle, probe)
 
 
 def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,

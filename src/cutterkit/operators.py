@@ -22,16 +22,14 @@ class Operator:
     wrap a function f of one point as subgradient_projection does, or as
     lambda x: np.apply_along_axis(f, -1, x).
 
-    fix_distance, when present, maps a point to its distance to the fixed
-    set of the operator.  dim is optional and used for compatibility
-    checks when composing.
+    dim is optional and used for compatibility checks when composing.
+    The probes take an operator's fixed set as an argument.
     """
 
-    __slots__ = ("_fn", "fix_distance", "label", "dim")
+    __slots__ = ("_fn", "label", "dim")
 
-    def __init__(self, fn, fix_distance=None, label: str = "operator", dim=None):
+    def __init__(self, fn, label: str = "operator", dim=None):
         self._fn = fn
-        self.fix_distance = fix_distance
         self.label = label
         self.dim = dim
 
@@ -44,15 +42,13 @@ class Operator:
 
 def identity(dim=None) -> Operator:
     """The identity map; its fixed set is the whole space."""
-    return Operator(lambda x: x, fix_distance=lambda x: np.zeros(np.shape(x)[:-1]),
-                    label="I", dim=dim)
+    return Operator(lambda x: x, label="I", dim=dim)
 
 
 def projection_operator(cset: ConvexSet) -> Operator:
     """Metric projection onto a closed convex set; Fix P_C = C."""
     return Operator(
         cset.project,
-        fix_distance=cset.distance,
         label=f"P[{type(cset).__name__}]",
         dim=cset.dim,
     )
@@ -64,7 +60,7 @@ def relax(t: Operator, lam: float) -> Operator:
     if not 0 <= lam < np.inf:
         raise UsageError(f"relaxation parameter must be >= 0 and finite, got {lam}")
     if lam == 1.0:
-        return Operator(t._fn, t.fix_distance, t.label, t.dim)
+        return Operator(t._fn, t.label, t.dim)
     if lam == 0.0:
         return identity(t.dim)
     label = f"({t.label})_{lam:g}"
@@ -73,16 +69,12 @@ def relax(t: Operator, lam: float) -> Operator:
     def fn(x):
         return x + lam * (t._fn(x) - x)
 
-    return Operator(fn, t.fix_distance, label, t.dim)
+    return Operator(fn, label, t.dim)
 
 
-def compose(u: Operator, t: Operator, intersection_distance=None) -> Operator:
-    """The product U T, applying T first.
-
-    When an intersection oracle is supplied it becomes the product's
-    fix_distance (Fix UT = Fix T intersect Fix U for relaxed cutters with
-    lam*mu < 4).
-    """
+def compose(u: Operator, t: Operator) -> Operator:
+    """The product U T, applying T first; Fix UT = Fix T intersect Fix U
+    for relaxed cutters with lam*mu < 4."""
     if u.dim is not None and t.dim is not None and u.dim != t.dim:
         raise UsageError(f"operator dimensions differ: {u.dim} vs {t.dim}")
 
@@ -92,7 +84,6 @@ def compose(u: Operator, t: Operator, intersection_distance=None) -> Operator:
 
     return Operator(
         fn,
-        fix_distance=intersection_distance,
         label=f"{u.label}*{t.label}",
         dim=u.dim if u.dim is not None else t.dim,
     )
@@ -123,4 +114,4 @@ def subgradient_projection(f, g, label: str = "P_f") -> Operator:
             return one(x)
         return np.stack([one(row) for row in x])
 
-    return Operator(fn, None, label)
+    return Operator(fn, label)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cutterkit import cli, configio, diagnostics
 from cutterkit.cli import main
-from cutterkit.geometry import AffineSubspace
+from cutterkit.geometry import AffineSubspace, Hyperplane
 from cutterkit.configio import read_trace_csv
 
 
@@ -231,6 +231,61 @@ def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
     assert main([command, str(cfg)] + flags) == 3
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("method, iterations, message", [
+    (dict(PRODUCT, epsilon=-1), 30,
+     "validation error: epsilon must be positive, got -1.0"),
+    (dict(PRODUCT, alpha=1.9, epsilon=0.5), 30,
+     "validation error: step 0: 1.9 outside [0.5, 1.5]"),
+    (dict(PRODUCT, alpha=[1.0, 1.0]), 5,
+     "validation error: step sequence exhausted at k=2"),
+    # the default epsilon, min(alpha) and 2 - max(alpha), is 0 at alpha 2
+    ({"driver": "product", "lambda": 3.0, "mu": 1.0, "alpha": 2.0}, 30,
+     "validation error: epsilon must be positive, got 0.0"),
+], ids=["negative-epsilon", "alpha-outside-window", "steps-exhausted",
+        "default-epsilon-zero"])
+def test_run_runs_every_method_before_it_writes_a_file(tmp_path, capsys, method,
+                                                       iterations, message):
+    # map runs, and would be written, before the method that fails
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, iterations=iterations,
+                 methods=[{"name": "map", "driver": "map"}, dict(method, name="new")],
+                 outputs={"csv": str(out), "svg": str(out),
+                          "report": str(out / "report.txt")})
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_run_that_diverges_in_a_later_method_writes_no_file(tmp_path, capsys):
+    # U relaxed by 1e200 overflows at step 1, after map has run
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, methods=[{"name": "map", "driver": "map"}, dict(
+        PRODUCT, name="new", U={"op": "relax", "lambda": 1e200,
+                                "of": {"op": "projection", "set": 1}})],
+        outputs={"csv": str(out), "svg": str(out)})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["run", str(cfg)]) == 4
+    assert capsys.readouterr().err == \
+        "run failed: non-finite operator value at step 1\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_run_takes_epsilon_from_the_steps_when_none_is_given(tmp_path):
+    # min(alpha) and 2 - max(alpha): 0.6 for steps in [0.6, 1.4]
+    cfg = tmp_path / "cfg.json"
+    alpha = [0.6, 1.4, 1.0] * 10
+    traces = []
+    for epsilon in (None, 0.6):
+        method = dict(PRODUCT, name="new", alpha=alpha, epsilon=epsilon)
+        write_config(cfg, methods=[method])
+        assert main(["run", str(cfg)]) == 0
+        traces.append((tmp_path / "out" / "new.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert configio.parse_config(json.loads(cfg.read_text())).methods[0].epsilon == 0.6
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -698,6 +753,72 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, command, path,
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def _product_with(**fields):
+    """An edit of the default config: fields set on its product method."""
+    def edit(doc):
+        doc["methods"][2].update(fields)
+        return doc
+    return edit
+
+
+# id: (edit of the default config, exit code, the whole of stderr)
+BAD_CONFIGS = {
+    "list-root": (lambda doc: [1], 2, "config error: config root must be a JSON object"),
+    "one-set": (lambda doc: dict(doc, problem={"sets": doc["problem"]["sets"][:1]}),
+                3, "validation error: problem.sets must list at least two sets"),
+    "zero-iterations": (lambda doc: dict(doc, iterations=0), 3,
+                        "validation error: iterations must be >= 1"),
+    "object-methods": (lambda doc: dict(doc, methods={}), 2,
+                       "config error: methods must be a list"),
+    "empty-alpha": (_product_with(alpha=[]), 2, "config error: methods[2]: alpha "
+                    "must be a finite number or a non-empty list of them, got []"),
+    "nested-alpha": (_product_with(alpha=[[1.0]]), 2, "config error: methods[2]: "
+                     "alpha must be a finite number or a non-empty list of them, "
+                     "got [[1.0]]"),
+    "nan-alpha": (_product_with(alpha=math.nan), 2, "config error: methods[2]: "
+                  "alpha must be a finite number or a non-empty list of them, got nan"),
+    "list-outputs": (lambda doc: dict(doc, outputs=[]), 2,
+                     "config error: outputs must be an object"),
+    "flat-affine-basis": (lambda doc: dict(doc, problem={"sets": [
+        {"type": "affine", "anchor": [0, 0], "basis": [1, 0]},
+        doc["problem"]["sets"][1]]}), 2,
+        "config error: 'affine' set: basis must be a list of vectors"),
+    "relax-without-of": (_product_with(T={"op": "relax", "lambda": 3}), 2,
+                         "config error: missing field 'of' in operator spec 'relax'"),
+    "compose-without-inner": (
+        _product_with(T={"op": "compose", "outer": {"op": "projection", "set": 0}}),
+        2, "config error: missing field 'inner' in operator spec 'compose'"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("edit, code, message", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_bad_config_exits_with_its_code_before_writing(tmp_path, capsys, command,
+                                                       edit, code, message):
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg)
+    cfg.write_text(json.dumps(edit(doc)))
+    assert main([command, str(cfg)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_identity_operator_runs(tmp_path, capsys, command):
+    # T = I with declared lambda 1 and U = P_B: the product is P_B, and
+    # every probe of the battery holds for it.  Each step goes 3/4 of the
+    # way to P_B x0 = (3/4, sqrt(3)/4), a fixed point
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=[dict(PRODUCT, name="new", T={"op": "identity"},
+                                    **{"lambda": 1.0})])
+    assert main([command, str(cfg)]) == 0
+    if command == "run":
+        trace = read_trace_csv(str(tmp_path / "out" / "new.csv"))
+        assert trace.residuals[-1] == 0.0
+        assert np.abs(trace.iterates[-1] - [0.75, math.sqrt(3) / 4]).max() < 1e-15
+
+
 # Paper-config fields an arbitrary JSON value may replace.
 FIELDS = [
     ("seed",), ("problem",), ("problem", "sets"), SET_0, SET_0 + ("type",),
@@ -823,6 +944,27 @@ def test_verify_symmetric_pair_reports_lb2_vacuous(tmp_path, capsys):
     assert main(["verify", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "PROBE sym.lb2 SKIP" in out
+
+
+def test_verify_carries_a_nan_distance_into_kappa_hat(tmp_path, capsys,
+                                                      monkeypatch):
+    # kappa_hat keeps a sample whose distance to A is NaN, as lb2 keeps
+    # one whose distance to the intersection is; the NaN estimate then
+    # stops the rate certificate, which needs kappa > 0
+    distance = Hyperplane.distance
+
+    def with_nan(self, x):
+        d = distance(self, x)
+        if np.ndim(x) == 2:
+            d[::7] = np.nan
+        return d
+
+    monkeypatch.setattr(Hyperplane, "distance", with_nan)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=[dict(PRODUCT, name="new", alpha=1.0)])
+    assert main(["verify", str(cfg)]) == 3
+    assert capsys.readouterr().err == \
+        "validation error: kappa must be positive, got nan\n"
 
 
 def test_verify_seed_override_changes_probe_seed(tmp_path, capsys):

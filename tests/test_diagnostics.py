@@ -442,7 +442,7 @@ def test_battery_margins_keep_the_bits_of_the_plain_expressions(
     assert len(margins) == len(expected) == 9
     for got, want in zip(margins, expected):
         assert got.tobytes() == want.tobytes()
-    assert kappa_hat() == kappa
+    assert kappa_hat == kappa
     mislabelled = (lam_t, mu_u) != (pair.lam, pair.mu)
     assert any(m.min() < -1e-9 for m in margins) == mislabelled
 
@@ -458,7 +458,7 @@ def _caching(op):
             cache[key] = np.array(op(v))
         return cache[key]
 
-    return Operator(fn, op.fix_distance, "cached", op.dim), cache
+    return Operator(fn, "cached", op.dim), cache
 
 
 def test_battery_writes_into_no_operator_image_or_sample():
@@ -476,7 +476,7 @@ def test_battery_writes_into_no_operator_image_or_sample():
     def lines(t, u):
         named, kappa_hat = diagnostics._product_probes(a, b, t, u, pair, w,
                                                        inter, probe)
-        return [rep.line() for _, rep in named] + [kappa_hat()]
+        return [rep.line() for _, rep in named] + [kappa_hat]
 
     first = lines(t, u)
     kept = [{k: v.copy() for k, v in c.items()} for c in (t_cache, u_cache)]
@@ -498,25 +498,34 @@ def test_battery_writes_into_no_operator_image_or_sample():
 # moduli estimators
 
 def test_regularity_modulus_of_projection_is_one():
-    d = regularity_modulus_estimate(projection_operator(LINE_A), PROBE)
+    d = regularity_modulus_estimate(projection_operator(LINE_A), LINE_A, PROBE)
     assert abs(d - 1.0) < 1e-9
 
 
 def test_regularity_modulus_scales_with_relaxation():
-    base = regularity_modulus_estimate(projection_operator(LINE_A), PROBE)
+    base = regularity_modulus_estimate(projection_operator(LINE_A), LINE_A, PROBE)
     for lam in (0.5, 2.5):
         scaled = regularity_modulus_estimate(
-            relax(projection_operator(LINE_A), lam), PROBE)
+            relax(projection_operator(LINE_A), lam), LINE_A.distance, PROBE)
         assert abs(scaled - lam) < 1e-9
         assert abs(scaled - lam * base) < 1e-9
 
 
 def test_regularity_modulus_identity_is_degenerate():
+    # Fix I is the whole space: every sample lies on it
     with pytest.raises(EstimationError):
-        regularity_modulus_estimate(identity(), PROBE)
-    with pytest.raises(UsageError):
-        regularity_modulus_estimate(
-            compose(identity(), identity()), PROBE)  # no fix oracle
+        regularity_modulus_estimate(identity(), lambda x: np.zeros(len(x)), PROBE)
+
+
+def test_regularity_modulus_of_the_product_against_the_intersection():
+    # Fix P_B P_A = A n B = {0}.  The estimate is pinned bit for bit, and
+    # it bounds the exact modulus sigma_min(I - P_B P_A) from above
+    pa, pb = projection_operator(LINE_A), projection_operator(LINE_B)
+    est = regularity_modulus_estimate(compose(pb, pa),
+                                      intersect_affine(LINE_A, LINE_B), PROBE)
+    assert est == 0.2284252332844248
+    m = np.eye(2) - np.outer(U_PI6, U_PI6) @ np.diag([1.0, 0.0])
+    assert np.linalg.svd(m, compute_uv=False)[-1] <= est
 
 
 def test_pair_regularity_two_lines_matches_grid_oracle():
@@ -576,6 +585,36 @@ def test_one_probe_config_serves_fresh_operators_like_fresh_configs():
 
     shared = fresh()
     assert battery(lambda: shared) == battery(fresh)
+
+
+def _nan_every_seventh(dist):
+    """dist, reading NaN on every seventh row of a batch."""
+    def with_nan(x):
+        d = np.array(dist(x), dtype=float)
+        d[::7] = np.nan
+        return d
+    return with_nan
+
+
+def test_regularity_modulus_keeps_nan_distances():
+    # samples are kept as lb2 keeps them: a NaN distance to Fix T is not
+    # on the fixed set, so it reaches the estimate
+    probe = ProbeConfig(center=ORIGIN, radius=2.0, sample_count=200, seed=3)
+    pa = projection_operator(LINE_A)
+    assert abs(regularity_modulus_estimate(pa, LINE_A, probe) - 1.0) < 1e-12
+    assert math.isnan(regularity_modulus_estimate(
+        pa, _nan_every_seventh(LINE_A.distance), probe))
+
+
+def test_pair_regularity_keeps_nan_distances():
+    # a NaN d(x, A) makes max{d(x, A), d(x, B)} NaN; its row is kept, so
+    # the estimate is NaN rather than the estimate without that row
+    vert = Hyperplane([1.0, 0.0], 0.0)
+    inter = intersect_affine(LINE_A, vert)
+    probe = ProbeConfig(center=ORIGIN, radius=2.0, sample_count=200, seed=3)
+    assert pair_regularity_estimate(LINE_A, vert, inter, probe) == 1.4141771156996523
+    assert math.isnan(pair_regularity_estimate(
+        _nan_every_seventh(LINE_A.distance), vert, inter, probe))
 
 
 def test_pair_regularity_takes_distance_callables():

@@ -156,6 +156,17 @@ def test_intersect_affine_rejects_non_affine_sets():
         intersect_affine(Ball([0.0, 0.0], 1.0), LINE_A)
 
 
+def test_intersect_affine_of_a_point_set():
+    # an affine set without basis is the point {anchor}: every coordinate
+    # is a constraint, so the intersection is that point, or empty
+    point = AffineSubspace([2.0, 0.0], np.empty((0, 2)))
+    inter = intersect_affine(point, LINE_A)
+    assert inter.basis.shape[0] == 0
+    assert np.max(np.abs(inter.anchor - [2.0, 0.0])) < 1e-12
+    with pytest.raises(InfeasibleError):
+        intersect_affine(AffineSubspace([2.0, 1.0], np.empty((0, 2))), LINE_A)
+
+
 def test_intersect_affine_line_and_plane_in_3d():
     plane = Hyperplane([0.0, 0.0, 1.0], 0.0)
     line = AffineSubspace([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])

@@ -6,8 +6,7 @@ import pytest
 
 from cutterkit import (AffineSubspace, Ball, Box, DegenerateSubgradientError,
                        HalfSpace, Hyperplane, RelaxationPair, UsageError,
-                       compose, identity, intersect_affine,
-                       nu, projection_operator, relax,
+                       compose, identity, nu, projection_operator, relax,
                        subgradient_projection)
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
@@ -30,8 +29,6 @@ def test_projection_operator_examples():
                          - [0.75, math.sqrt(3) / 4])) < 1e-12
     ball = projection_operator(Ball([0.0, 0.0], 1.0))
     assert np.allclose(ball(np.array([0.0, 2.0])), [0.0, 1.0], atol=1e-15)
-    # the fix-distance oracle is the set distance
-    assert abs(pa.fix_distance(np.array([2.0, 3.0])) - 3.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +75,6 @@ def test_relax_zero_is_identity_with_full_fixed_set():
     r = relax(projection_operator(LINE_A), 0.0)
     x = np.array([1.0, 2.0])
     assert np.array_equal(r(x), x)
-    assert r.fix_distance(x) == 0.0
 
 
 def test_relax_rejects_negative():
@@ -101,11 +97,6 @@ def test_relax_composition_law():
         rhs = relax(t, lam * mu)
         x = rng.standard_normal((100, 2))
         assert np.max(np.abs(lhs(x) - rhs(x))) < 1e-12
-
-
-def test_relax_preserves_fix_distance():
-    r = relax(projection_operator(LINE_A), 2.5)
-    assert abs(r.fix_distance(np.array([0.0, 3.0])) - 3.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +123,6 @@ def test_compose_dimension_mismatch():
     p3 = projection_operator(Hyperplane([0.0, 0.0, 1.0], 0.0))
     with pytest.raises(UsageError):
         compose(p2, p3)
-
-
-def test_compose_intersection_oracle_becomes_fix_distance():
-    b = Hyperplane([-math.sin(math.pi / 6), math.cos(math.pi / 6)], 0.0)
-    inter = intersect_affine(LINE_A, b)
-    c = compose(projection_operator(b), projection_operator(LINE_A),
-                intersection_distance=inter.distance)
-    assert abs(c.fix_distance(np.array([1.0, 0.0])) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +218,17 @@ def test_gdr_quarter_step_over_relaxed_first_factor():
 
 
 def test_fix_distance_consistent_with_fixed_points():
-    # fix_distance vanishes exactly where the operator is fixed, sampled
-    # on points of the fixed set and points away from it
+    # the set's distance, Fix T's distance for T = (P_B)_lam, vanishes
+    # exactly where the operator is fixed, sampled on points of the fixed
+    # set and points away from it
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((100, 2)) * 2.0
     on_line = LINE_B.project(pts)
     for op in (projection_operator(LINE_B),
                relax(projection_operator(LINE_B), 2.5)):
-        assert np.max(np.asarray(op.fix_distance(on_line))) < 1e-10
+        assert np.max(np.asarray(LINE_B.distance(on_line))) < 1e-10
         assert np.max(np.linalg.norm(op(on_line) - on_line, axis=1)) < 1e-10
-        moving = pts[np.asarray(op.fix_distance(pts)) > 1e-8]
+        moving = pts[np.asarray(LINE_B.distance(pts)) > 1e-8]
         assert np.min(np.linalg.norm(op(moving) - moving, axis=1)) > 0.0
 
 

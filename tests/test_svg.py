@@ -67,6 +67,19 @@ def test_non_2d_traces_are_skipped_with_warning(tmp_path):
     assert polyline_point_counts(out) == [31]
 
 
+def test_error_plot_skips_a_trace_without_errors_with_warning(tmp_path):
+    bare = Trace(iterates=np.zeros((4, 2)), residuals=[0.0] * 3,
+                 step_sizes=[1.0] * 3)
+    with pytest.warns(UserWarning) as record:
+        out = emit_svg([bare, two_d_trace()], str(tmp_path / "e.svg"),
+                       kind="error", labels=["bare", "full"])
+    assert [str(w.message) for w in record] == \
+        ["error plot skipped for bare: no solution errors"]
+    assert polyline_point_counts(out) == [31]
+    text = open(out).read()
+    assert ">full<" in text and ">bare<" not in text
+
+
 def test_unknown_kind_rejected(tmp_path):
     with pytest.raises(UsageError):
         emit_svg([two_d_trace()], str(tmp_path / "x.svg"), kind="contour")
