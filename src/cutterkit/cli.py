@@ -310,13 +310,16 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.command == "example-paper":
-            return cmd_example_paper(args.out, args.iters)
-        if args.command == "run":
-            return cmd_run(args.config, seed=args.seed, iters=args.iters,
-                           tol=args.tol)
-        return cmd_verify(args.config, seed=args.seed, iters=args.iters,
-                          tol=args.tol)
+        # a non-finite value ends in its exit code (a DivergenceError, a
+        # NaN margin), not in numpy's warning or, under -W error, its raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "example-paper":
+                return cmd_example_paper(args.out, args.iters)
+            if args.command == "run":
+                return cmd_run(args.config, seed=args.seed, iters=args.iters,
+                               tol=args.tol)
+            return cmd_verify(args.config, seed=args.seed, iters=args.iters,
+                              tol=args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Trace, _count
 from .errors import CutterKitError, EstimationError, UsageError
-from .geometry import ConvexSet, _frozen, _norms, as_point
+from .geometry import ConvexSet, _frozen, _norms, _row_blocks, as_point
 from .operators import Operator, compose, projection_operator, relax
 from .theory import (RelaxationPair, alpha_beta, demicontraction_rho, nu,
                      qlinear_rate, split_roots)
@@ -151,7 +151,8 @@ def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
     """Check that every z in fixed_sample is fixed by every operator in
     ops = (T1, ..., Tk), sample x from the ball, and report the minimum
     over z of the rows margins(zs, x, T1(x), ..., Tk(...T1(x))) returns,
-    one row per z.
+    one row per z.  margins runs on row blocks of x and the images (a
+    margin reads only its own row), so its differences stay block-sized.
     """
     zs = np.atleast_2d(np.asarray(fixed_sample, dtype=float))
     if zs.size == 0:
@@ -166,8 +167,10 @@ def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
     images = [probe.samples]
     for op in ops:
         images.append(_eval_batch(op, images[-1]))
-    return _report(name, np.min(margins(zs, *images), axis=0), images[0],
-                   probe.tolerance, probe.seed)
+    worst = np.empty(len(images[0]))
+    for rows in _row_blocks(images[0]):
+        worst[rows] = np.min(margins(zs, *(im[rows] for im in images)), axis=0)
+    return _report(name, worst, images[0], probe.tolerance, probe.seed)
 
 
 def _dot(a, b):

@@ -20,6 +20,12 @@ from .errors import InfeasibleError, UsageError
 # need projections exact to near machine precision.
 ORTHO_TOL = 1e-12
 
+# Bytes per block of the row-blocked loops (_row_blocks): a (1000, 30)
+# batch stays whole and a (2000, 50) one splits into 4 blocks.  _norms
+# took 0.83-0.98x its time at 64 KiB blocks on the batches those split
+# (2-vCPU Xeon, numpy 2.4.6)
+_ROW_BLOCK = 256 * 1024
+
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate ``x`` as a finite vector and return it as float64."""
@@ -71,11 +77,19 @@ def _norms(r):
             return math.sqrt(np.add.reduce(r * r))
         return float(_norms(r[None])[0])
     sq = np.empty(r.shape[:-1])
-    step = 1 + 8192 // r.shape[-1]  # 64 KiB: an r-sized temporary page-faults
     with np.errstate(over="ignore"):
-        for i in range(0, len(r), step):
-            np.add.reduce(r[i:i + step] ** 2, axis=-1, out=sq[i:i + step])
+        for rows in _row_blocks(r):
+            np.add.reduce(r[rows] ** 2, axis=-1, out=sq[rows])
     return _roots(sq, r)
+
+
+def _row_blocks(r):
+    """Slices of r's rows, in order, each at most _ROW_BLOCK bytes of
+    float64 (one row at least), so a temporary made per block stays that
+    small.  Row-local arithmetic keeps its bits: numpy's per-row sums do
+    not depend on the block."""
+    step = max(1, _ROW_BLOCK // (8 * r.shape[-1]))
+    return (slice(i, i + step) for i in range(0, len(r), step))
 
 
 def _roots(sq, r):
@@ -215,8 +229,8 @@ class AffineSubspace(ConvexSet):
 
     def project(self, x):
         x = self._coerce(x)
-        z = x - self.anchor
-        return self.anchor + z.dot(self._q).dot(self.basis)
+        # x - anchor is freed before the second product makes its output
+        return self.anchor + (x - self.anchor).dot(self._q).dot(self.basis)
 
     def __repr__(self):
         return (

@@ -260,15 +260,15 @@ def test_run_runs_every_method_before_it_writes_a_file(tmp_path, capsys, method,
 
 
 def test_run_that_diverges_in_a_later_method_writes_no_file(tmp_path, capsys):
-    # U relaxed by 1e200 overflows at step 1, after map has run
+    # U relaxed by 1e200 overflows at step 1, after map has run; the exit
+    # code reports it, with no numpy RuntimeWarning (the suite raises one)
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     write_config(cfg, methods=[{"name": "map", "driver": "map"}, dict(
         PRODUCT, name="new", U={"op": "relax", "lambda": 1e200,
                                 "of": {"op": "projection", "set": 1}})],
         outputs={"csv": str(out), "svg": str(out)})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["run", str(cfg)]) == 4
+    assert main(["run", str(cfg)]) == 4
     assert capsys.readouterr().err == \
         "run failed: non-finite operator value at step 1\n"
     assert list(tmp_path.iterdir()) == [cfg]
@@ -1240,6 +1240,24 @@ def test_verify_keeps_at_most_six_sample_sized_arrays_alive(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out == 2 * AFFINE_D50_PROBE_LINES
     assert peak <= 6.5 * 2000 * 50 * 8
+
+
+def test_verify_peaks_below_five_sample_sized_arrays(tmp_path, capsys):
+    # the probes' margins run on blocks of at most 256 KiB, 655 rows of a
+    # (2000, 50) array: at product.cutter X, T(X), U(T(X)) and the
+    # product's image are whole, and the two differences block-sized
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **affine_d50())
+    assert main(["verify", str(cfg)]) == 0  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["verify", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == 2 * AFFINE_D50_PROBE_LINES
+    assert peak <= 5.0 * 2000 * 50 * 8
 
 
 def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):

@@ -416,10 +416,14 @@ BOX_PAIR = (Box([-1, -1, -1], [1, 1, 1]), Box([0, -2, -0.5], [2, 2, 0.5]))
     # max{lam, mu} >= 2, else "-"
     (_affine_pair(40, 1), None, 1.7, 2.7, RelaxationPair(1.3, 2.7), 700),
     (_affine_pair(9, 2), None, 0.6, 1.9, RelaxationPair(0.6, 1.5), 500),
+    # 1700 rows of d = 40 run as 3 row blocks of at most 256 KiB (819,
+    # 819 and 62 rows)
+    (_affine_pair(40, 4), None, 1.4, 2.5, RelaxationPair(1.4, 2.5), 1700),
     # some samples lie in the intersection: lb2 and kappa_hat keep rows
     (BOX_PAIR, Box([0, -1, -0.5], [1, 1, 0.5]), 2.5, 1.2,
      RelaxationPair(2.5, 1.2), 300),
-], ids=["affine-d40-plus", "affine-d9-minus", "boxes-kept-rows"])
+], ids=["affine-d40-plus", "affine-d9-minus", "affine-d40-blocks",
+        "boxes-kept-rows"])
 def test_battery_margins_keep_the_bits_of_the_plain_expressions(
         monkeypatch, sets, inter, lam_t, mu_u, pair, n):
     a, b = sets

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,13 +261,30 @@ def _flat_sets(rng, d):
 def test_projections_match_the_matmul_expressions_bit_for_bit(d):
     rng = np.random.default_rng(d)
     for cset in _flat_sets(rng, d):
-        for n in (2, 7, 300):
+        for n in (2, 7, 300, 2000):  # 2000: 2 row blocks at d = 20, 4 at 50
             x = rng.standard_normal((n, d)) * 3.0
             for pts in (x[0].copy(), x, np.asfortranarray(x)):
                 assert cset.project(pts).tobytes() == \
                     _ref_project(cset, pts).tobytes(), (cset, pts.shape)
                 assert cset.distance(pts).tobytes() == \
                     _ref_distance(cset, pts).tobytes(), (cset, pts.shape)
+
+
+def test_a_batch_projection_makes_two_batch_sized_arrays():
+    # (x - anchor) is freed before the second product makes its output:
+    # that output and the anchor's sum are the two (2000, 50) arrays
+    rng = np.random.default_rng(8)
+    a = AffineSubspace(rng.standard_normal(50), rng.standard_normal((25, 50)))
+    x = rng.standard_normal((2000, 50))
+    a.project(x)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        a.project(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * x.nbytes
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (3, 3), (5, 4), (7, 3), (12, 12),
