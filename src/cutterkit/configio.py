@@ -51,7 +51,7 @@ import numpy as np
 from .engine import Trace
 from .errors import ConfigError, UsageError
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
-                       Hyperplane, as_point)
+                       Hyperplane, _checked, as_point)
 from .operators import Operator, compose, identity, projection_operator, relax
 from .theory import RelaxationPair
 
@@ -209,11 +209,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sets = [set_from_dict(s) for s in raw_sets]
     x0 = as_point(_field(doc, "x0", "config", _vector))
     for i, s in enumerate(sets):
-        if s.dim != x0.size:
-            raise UsageError(
-                f"dimension mismatch: sets[{i}] is {s.dim}-dimensional, "
-                f"x0 has {x0.size} coordinates"
-            )
+        _checked(x0, s.dim, f"sets[{i}]")
     iterations = _field(doc, "iterations", "config", _integer)
     if iterations < 1:
         raise UsageError("iterations must be >= 1")

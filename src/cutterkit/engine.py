@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from itertools import count, repeat
 
@@ -140,9 +141,11 @@ def _run(w: Operator, x0, coeffs, max_iter, residual_tol, solution):
     # overflowed; past it (or NaN) the exact test decides and resets it
     bound = _norm(x)
     last = None
+    fn, tiny = w._fn, sys.float_info.min  # x is float64 of W's dim: no check
     for k in range(max_iter):
-        dx = w(x) - x
-        res = _norm(dx)
+        dx = fn(x) - x
+        sq = np.vdot(dx, dx)  # _norm(dx), its normal-range case inlined
+        res = math.sqrt(sq) if tiny <= sq < math.inf else _norm(dx)
         if not math.isfinite(res):
             raise DivergenceError(f"non-finite operator value at step {k}", trace())
         coeff = next(coeffs)

@@ -34,9 +34,16 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise UsageError(f"expected a 1-d point with d >= 1, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise UsageError("point has non-finite entries")
-    if dim is not None and p.size != dim:
-        raise UsageError(f"dimension mismatch: expected {dim}, got {p.size}")
-    return p
+    return _checked(p, dim, "the space")
+
+
+def _checked(x, dim, what) -> np.ndarray:
+    """x as float64 points of dimension dim (any, for None); what: its owner."""
+    x = np.asarray(x, dtype=float)
+    if dim is not None and x.shape[-1:] != (dim,):
+        raise UsageError(f"dimension mismatch: {what} is {dim}-dimensional, "
+                         f"point has shape {x.shape}")
+    return x
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -70,12 +77,15 @@ def _row_dots(a, b):
 
 
 def _norms(r):
-    """||r|| per row, the pairwise sum's bits; a float for a (d,) row."""
+    """||r|| per row, the pairwise sum's bits; a float for a (d,) row.  No
+    row's square exceeds r . r, so below 1e300 none can overflow."""
     if r.ndim == 1:
         # np.vdot does not warn; in (1e-300, 1e300) both squares are normal
         if 1e-300 < np.vdot(r, r) < 1e300:
             return math.sqrt(np.add.reduce(r * r))
         return float(_norms(r[None])[0])
+    if r.nbytes <= _ROW_BLOCK and np.vdot(r, r) < 1e300:  # one block, no overflow
+        return _roots(np.add.reduce(r * r, axis=-1), r)
     sq = np.empty(r.shape[:-1])
     with np.errstate(over="ignore"):
         for rows in _row_blocks(r):
@@ -95,11 +105,13 @@ def _row_blocks(r):
 def _roots(sq, r):
     """The norms of the rows r from their squares sq by the range rule."""
     n = np.sqrt(sq)
+    if not sq.size or sys.float_info.min <= sq.min() and sq.max() < math.inf:
+        return n  # (a NaN square makes sq.min() NaN)
     off = ~((sq >= sys.float_info.min) & (sq < math.inf))
-    if off.any():  # a zero row's root is its norm; a non-finite row keeps it
-        off &= r.any(axis=-1) & np.isfinite(r).all(axis=-1)
-        for i in zip(*np.nonzero(off)):
-            n[i] = math.hypot(*r[i])
+    # a zero row's root is its norm; a non-finite row keeps it
+    off &= r.any(axis=-1) & np.isfinite(r).all(axis=-1)
+    for i in zip(*np.nonzero(off)):
+        n[i] = math.hypot(*r[i])
     return n
 
 
@@ -116,26 +128,20 @@ def _square(v, what: str, tail: str, error=UsageError) -> float:
 
 
 class ConvexSet:
-    """A closed convex set with an exact metric projection."""
+    """A closed convex set; project checks x once, then calls the raw _project."""
 
     dim: int
 
     def project(self, x):
-        raise NotImplementedError
+        return self._project(self._coerce(x))
 
     def distance(self, x):
         x = self._coerce(x)
-        n = _norms(x - self.project(x))
+        n = _norms(x - self._project(x))
         return np.float64(n) if x.ndim == 1 else n
 
     def _coerce(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise UsageError(
-                f"dimension mismatch: set is {self.dim}-dimensional, "
-                f"point has {x.shape[-1]} coordinates"
-            )
-        return x
+        return _checked(x, self.dim, type(self).__name__)
 
 
 class _Plane(ConvexSet):
@@ -161,8 +167,7 @@ class Hyperplane(_Plane):
 
     _what = "hyperplane"
 
-    def project(self, x):
-        x = self._coerce(x)
+    def _project(self, x):
         s = (x.dot(self.normal) - self.offset) / self._nn
         if x.ndim == 1:
             return x - s * self.normal
@@ -178,8 +183,7 @@ class HalfSpace(_Plane):
 
     _what = "half-space"
 
-    def project(self, x):
-        x = self._coerce(x)
+    def _project(self, x):
         s = (x.dot(self.normal) - self.offset) / self._nn
         if x.ndim == 1:
             # np.maximum(s, 0.0): -0.0 gives +0.0 and NaN propagates
@@ -227,16 +231,13 @@ class AffineSubspace(ConvexSet):
         self.basis = _frozen(np.array(vecs) if vecs else np.zeros((0, self.dim)))
         self._q = self.basis.T  # (d, k), orthonormal columns
 
-    def project(self, x):
-        x = self._coerce(x)
+    def _project(self, x):
         # x - anchor is freed before the second product makes its output
         return self.anchor + (x - self.anchor).dot(self._q).dot(self.basis)
 
     def __repr__(self):
-        return (
-            f"AffineSubspace(anchor={self.anchor.tolist()}, "
-            f"rank={self.basis.shape[0]})"
-        )
+        return (f"AffineSubspace(anchor={self.anchor.tolist()}, "
+                f"rank={self.basis.shape[0]})")
 
 
 class Ball(ConvexSet):
@@ -249,8 +250,7 @@ class Ball(ConvexSet):
             raise UsageError("ball radius must be positive")
         self.dim = self.center.size
 
-    def project(self, x):
-        x = self._coerce(x)
+    def _project(self, x):
         d = x - self.center
         n = _norms(d)
         if x.ndim == 1:
@@ -277,8 +277,7 @@ class Box(ConvexSet):
             raise UsageError("box requires lo <= hi componentwise")
         self.dim = self.lo.size
 
-    def project(self, x):
-        x = self._coerce(x)
+    def _project(self, x):
         return x.clip(self.lo, self.hi)
 
     def __repr__(self):
@@ -299,10 +298,8 @@ def _constraint_rows(cset):
             u, _, _ = np.linalg.svd(cset._q, full_matrices=True)
             m = u[:, k:].T
         return m, m @ cset.anchor
-    raise UsageError(
-        f"intersect_affine supports Hyperplane and AffineSubspace, got "
-        f"{type(cset).__name__}"
-    )
+    raise UsageError(f"intersect_affine supports Hyperplane and AffineSubspace, "
+                     f"got {type(cset).__name__}")
 
 
 def _solve_affine(a, b):

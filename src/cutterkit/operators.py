@@ -4,7 +4,8 @@ and products.
 Operators are immutable closures over immutable data.  Evaluation accepts
 a single point ``(d,)`` or a batch ``(n, d)``, mapped row by row to an
 ``(n, d)`` result; every constructor here meets that contract, and the
-diagnostics probes evaluate operators only on batches.
+diagnostics probes evaluate operators only on batches.  A call checks
+its input once; the maps inside, down to the raw projections, do not.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSubgradientError, UsageError
-from .geometry import ConvexSet, _square
+from .geometry import ConvexSet, _checked, _square
 
 
 class Operator:
@@ -22,8 +23,8 @@ class Operator:
     wrap a function f of one point as subgradient_projection does, or as
     lambda x: np.apply_along_axis(f, -1, x).
 
-    dim is optional and used for compatibility checks when composing.
-    The probes take an operator's fixed set as an argument.
+    dim is optional; a call checks its input against it, and compose
+    against the other's.  The probes take the fixed set as an argument.
     """
 
     __slots__ = ("_fn", "label", "dim")
@@ -34,24 +35,25 @@ class Operator:
         self.dim = dim
 
     def __call__(self, x):
-        return self._fn(np.asarray(x, dtype=float))
+        return self._fn(_checked(x, self.dim, self))
 
     def __repr__(self):
         return f"Operator({self.label})"
 
 
+class _Own(Operator):
+    """Made here of the library's maps: float64 out, in the input's shape."""
+    __slots__ = ()
+
+
 def identity(dim=None) -> Operator:
     """The identity map; its fixed set is the whole space."""
-    return Operator(lambda x: x, label="I", dim=dim)
+    return _Own(lambda x: x, label="I", dim=dim)
 
 
 def projection_operator(cset: ConvexSet) -> Operator:
     """Metric projection onto a closed convex set; Fix P_C = C."""
-    return Operator(
-        cset.project,
-        label=f"P[{type(cset).__name__}]",
-        dim=cset.dim,
-    )
+    return _Own(cset._project, f"P[{type(cset).__name__}]", cset.dim)
 
 
 def relax(t: Operator, lam: float) -> Operator:
@@ -59,17 +61,19 @@ def relax(t: Operator, lam: float) -> Operator:
     lam = float(lam)
     if not 0 <= lam < np.inf:
         raise UsageError(f"relaxation parameter must be >= 0 and finite, got {lam}")
+    kind = _Own if isinstance(t, _Own) else Operator
     if lam == 1.0:
-        return Operator(t._fn, t.label, t.dim)
+        return kind(t._fn, t.label, t.dim)
     if lam == 0.0:
         return identity(t.dim)
     label = f"({t.label})_{lam:g}"
     lam = np.array(lam)  # a 0-d array multiplies faster than a float, same bits
+    f = t._fn
 
     def fn(x):
-        return x + lam * (t._fn(x) - x)
+        return x + lam * (f(x) - x)
 
-    return Operator(fn, label, t.dim)
+    return kind(fn, label, t.dim)
 
 
 def compose(u: Operator, t: Operator) -> Operator:
@@ -77,16 +81,16 @@ def compose(u: Operator, t: Operator) -> Operator:
     for relaxed cutters with lam*mu < 4."""
     if u.dim is not None and t.dim is not None and u.dim != t.dim:
         raise UsageError(f"operator dimensions differ: {u.dim} vs {t.dim}")
+    f, g = t._fn, u._fn
+    if isinstance(t, _Own):
+        def fn(x):
+            return g(f(x))
+    else:
+        def fn(x):  # T's output may be a list or of another length
+            return g(_checked(f(x), u.dim, u))
 
-    def fn(x):
-        # T may be a user function returning a list; U gets float64
-        return u._fn(np.asarray(t._fn(x), dtype=float))
-
-    return Operator(
-        fn,
-        label=f"{u.label}*{t.label}",
-        dim=u.dim if u.dim is not None else t.dim,
-    )
+    kind = _Own if isinstance(u, _Own) and isinstance(t, _Own) else Operator
+    return kind(fn, f"{u.label}*{t.label}", u.dim if u.dim is not None else t.dim)
 
 
 def subgradient_projection(f, g, label: str = "P_f") -> Operator:

@@ -454,6 +454,16 @@ def test_nan_alpha_is_outside_the_step_window(alpha, step):
         iterate(t, u, cfg)
 
 
+@pytest.mark.parametrize("cset", [Ball([0.5, -0.5], 1.5), Box([-1.0, 0.0], [1.0, 2.0]),
+                                  AffineSubspace([1.0, 2.0], [[1.0, 1.0]])])
+def test_a_user_map_of_the_wrong_length_stops_the_loop_before_a_projection(cset):
+    # the loop calls W's map on x^k unchecked; compose checks T's output
+    first = Operator(lambda x: x[..., :1], label="first")
+    cfg = IterationConfig(pair=RelaxationPair(1.0, 2.5), x0=[0.3, 0.4], epsilon=0.5)
+    with pytest.raises(UsageError, match="dimension mismatch"):
+        iterate(first, relax(projection_operator(cset), 2.5), cfg)
+
+
 def test_user_operators_returning_lists_or_int_arrays():
     as_list = Operator(lambda x: [v + 1.0 for v in x], label="list")
     as_int = Operator(lambda x: np.rint(x).astype(int), label="int")
@@ -596,3 +606,72 @@ def test_drivers_match_the_reference_loop_bit_for_bit(pair, run):
     assert tr.residuals == res
     assert tr.step_sizes == steps
     assert tr.solution_errors == errs
+
+
+# ---------------------------------------------------------------------------
+# the single-point step written out as it was computed when every layer
+# coerced its input: Operator.__call__, compose's np.asarray of T's
+# output, each set's own coercion, and the residual through _norm
+
+def _point_project(cset, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(cset, (Hyperplane, HalfSpace)):
+        s = (x.dot(cset.normal) - cset.offset) / float(np.vdot(cset.normal, cset.normal))
+        if isinstance(cset, HalfSpace):
+            s = s if s > 0.0 or s != s else 0.0
+        return x - s * cset.normal
+    if isinstance(cset, AffineSubspace):
+        return cset.anchor + (x - cset.anchor).dot(cset.basis.T).dot(cset.basis)
+    if isinstance(cset, Ball):
+        d = x - cset.center
+        n = math.sqrt(np.add.reduce(d * d))
+        return cset.center + (cset.radius / n if n > cset.radius else 1.0) * d
+    return x.clip(cset.lo, cset.hi)
+
+
+def _point_step_run(a, b, lam, mu, x0, c, n, tol):
+    def relaxed(cset, r):
+        if r == 1.0:
+            return lambda x: _point_project(cset, x)
+        r = np.array(r)
+        return lambda x: (lambda y: y + r * (_point_project(cset, y) - y))(
+            np.asarray(x, dtype=float))
+
+    t, u = relaxed(a, lam), relaxed(b, mu)
+    x, xs, res = np.asarray(x0, dtype=float), [], []
+    factor = np.array(c)
+    for _ in range(n):
+        xs.append(x)
+        dx = u(np.asarray(t(np.asarray(x, dtype=float)), dtype=float)) - x
+        res.append(math.sqrt(np.vdot(dx, dx)))
+        x = x + factor * dx
+        if res[-1] <= tol:
+            break
+    xs.append(x)
+    return np.array(xs), res
+
+
+@pytest.mark.parametrize("driver", ("iterate", "run_map", "run_dr"))
+@pytest.mark.parametrize("pair", ("hyperplanes", "affine", "halfspace-ball",
+                                  "ball-box", "halfspace-box"))
+def test_the_point_step_keeps_the_bits_of_the_coercing_layers(pair, driver):
+    p, unit, pairs = _reference_pairs()
+    a, b = pairs[pair]
+    x0 = p + 3.0 * unit()
+    n, tol = 300, 1e-12
+    if driver == "iterate":
+        lam, mu = (3.0, 1.0) if pair != "affine" else (2.2, 1.5)
+        cfg = IterationConfig(pair=RelaxationPair(lam, mu), x0=x0, epsilon=0.2,
+                              alpha=1.3, max_iter=n, residual_tol=tol)
+        tr = iterate(relax(projection_operator(a), lam),
+                     relax(projection_operator(b), mu), cfg)
+        c = 1.3 / nu(cfg.pair)
+    else:
+        lam = mu = 1.0 if driver == "run_map" else 2.0
+        c = 1.0 if driver == "run_map" else 0.5
+        tr = (run_map if driver == "run_map" else run_dr)(a, b, x0, n, residual_tol=tol)
+    xs, res = _point_step_run(a, b, lam, mu, x0, c, n, tol)
+    assert len(res) > 10
+    assert tr.iterates.tobytes() == xs.tobytes()
+    assert tr.iterates.shape == xs.shape
+    assert tr.residuals == res

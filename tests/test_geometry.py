@@ -65,6 +65,21 @@ def test_dimension_mismatch_is_usage_error():
         Ball([0.0, 0.0], 1.0).distance(np.array([1.0]))
 
 
+@pytest.mark.parametrize("cset", sample_sets())
+def test_project_and_distance_coerce_and_check_a_list_once(cset):
+    x = [[0.3, -2.0], [4.0, 1.5]]
+    for pts in (x, x[0]):
+        assert cset.project(pts).tobytes() == cset.project(np.array(pts)).tobytes()
+        assert np.asarray(cset.distance(pts)).tobytes() == \
+            np.asarray(cset.distance(np.array(pts))).tobytes()
+    name = type(cset).__name__
+    for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], 2.0):
+        for method in (cset.project, cset.distance):
+            with pytest.raises(UsageError, match=f"^dimension mismatch: {name} is "
+                                                 f"2-dimensional, point has shape"):
+                method(bad)
+
+
 def test_affine_basis_orthonormalized():
     # skewed, partly dependent spanning vectors
     v1 = np.array([1.0, 1.0, 0.0])
@@ -485,6 +500,27 @@ def test_every_row_norm_follows_the_one_range_rule(row, norm):
     assert all(type(n) in (float, np.float64) for n in got)
     want = np.full(len(got), norm)
     assert np.array(got).tobytes() == want.tobytes(), got
+
+
+@pytest.mark.parametrize("n, d", [(5, 30), (1, 2), (0, 4), (1092, 30), (1093, 30),
+                                  (2000, 50)])
+def test_batch_norms_take_the_range_rule_and_bits_row_by_row(n, d):
+    # (1092, 30) fills one 256 KiB block and (1093, 30) spills into a second:
+    # on either side each row's norm is that of the row alone, unwarned
+    rng = np.random.default_rng(n + d)
+    r = rng.standard_normal((n, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [_norms(v) for v in r]
+        assert _norms(r).tolist() == want
+        # every kind of row of the range rule, in a batch of plain rows
+        for row, norm in RANGE_ROWS if n else ():
+            s = r.copy()
+            s[n // 2] = 0.0
+            s[n // 2, :2] = row
+            got = _norms(s)
+            assert np.array(got[n // 2]).tobytes() == np.array(norm).tobytes()
+            assert np.delete(got, n // 2).tolist() == np.delete(want, n // 2).tolist()
 
 
 def test_ball_points_near_the_overflow_keep_their_bits():

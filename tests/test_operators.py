@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cutterkit import (AffineSubspace, Ball, Box, DegenerateSubgradientError,
-                       HalfSpace, Hyperplane, RelaxationPair, UsageError,
+                       HalfSpace, Hyperplane, Operator, RelaxationPair, UsageError,
                        compose, identity, nu, projection_operator, relax,
                        subgradient_projection)
 
@@ -123,6 +123,54 @@ def test_compose_dimension_mismatch():
     p3 = projection_operator(Hyperplane([0.0, 0.0, 1.0], 0.0))
     with pytest.raises(UsageError):
         compose(p2, p3)
+
+
+# ---------------------------------------------------------------------------
+# the dimension boundary: a call checks its input once; inside, compose
+# checks what an operator not built here hands on
+
+BOUNDARY_SETS = [Ball([0.5, -0.5], 1.5), Box([-1.0, 0.0], [1.0, 2.0]),
+                 AffineSubspace([1.0, 2.0], [[1.0, 1.0]])]
+
+
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], 4.0])
+@pytest.mark.parametrize("cset", BOUNDARY_SETS + [LINE_A])
+def test_library_operators_reject_a_point_of_another_dimension(cset, x):
+    p = projection_operator(cset)
+    for op in (p, relax(p, 2.5), compose(relax(p, 0.5), p),
+               compose(p, identity()), compose(identity(), p)):
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            op(x)
+
+
+@pytest.mark.parametrize("cset", BOUNDARY_SETS)
+def test_a_user_map_of_the_wrong_length_before_a_projection_is_refused(cset):
+    # broadcast, one coordinate would silently project as (v, v)
+    first = Operator(lambda x: x[..., :1], label="first")
+    wide = Operator(lambda x: np.append(x, 0.0), label="wide")
+    for lam in (1.0, 2.5):
+        for t in (first, wide):
+            op = compose(relax(projection_operator(cset), lam), t)
+            with pytest.raises(UsageError, match="dimension mismatch"):
+                op(np.array([0.3, 0.4]))
+
+
+@pytest.mark.parametrize("cset", BOUNDARY_SETS)
+def test_a_user_map_returning_a_list_feeds_a_projection_float64(cset):
+    x = np.array([3.0, -2.5])
+    p = relax(projection_operator(cset), 2.5)
+    for dim in (None, 2):
+        as_list = Operator(lambda v: [float(e) for e in v], "list", dim)
+        assert compose(p, as_list)(x).tobytes() == p(x).tobytes()
+
+
+def test_a_declared_dimension_is_checked_at_the_call():
+    double = Operator(lambda x: 2.0 * x, label="double", dim=2)
+    assert double([1.0, 2.0]).tolist() == [2.0, 4.0]
+    with pytest.raises(UsageError, match=r"dimension mismatch: Operator\(double\)"):
+        double([1.0, 2.0, 3.0])
+    # with no declared dimension, any length passes
+    assert Operator(lambda x: 2.0 * x)([1.0, 2.0, 3.0]).tolist() == [2.0, 4.0, 6.0]
 
 
 # ---------------------------------------------------------------------------
