@@ -62,12 +62,9 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
     named = _run_methods(cfg, 1e-300, out_dir, out_dir,
                          ("iterate trajectories", "log10 error per step"))
     n = max(tr.iterates.shape[0] for _, tr in named)
-    lines = [",".join(["k"] + [f"log10_err_{name}" for name, _ in named])]
-    for k in range(n):
-        cells = [configio._log10_cell(tr.solution_errors[k])
-                 if k < len(tr.solution_errors) else "" for _, tr in named]
-        lines.append(",".join([str(k)] + cells))
-    configio._write_lines(os.path.join(out_dir, "errors.csv"), lines)
+    configio._write(os.path.join(out_dir, "errors.csv"), configio._csv_chunks(
+        ["k"] + [f"log10_err_{name}" for name, _ in named],
+        [range(n)] + [configio._log10(tr.solution_errors) for _, tr in named]))
 
     # sanity of the canonical first steps; a failure here is a code bug
     expected = {

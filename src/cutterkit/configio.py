@@ -41,6 +41,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -51,7 +52,7 @@ import numpy as np
 from .engine import Trace
 from .errors import ConfigError, UsageError
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
-                       Hyperplane, _checked, as_point)
+                       Hyperplane, _checked, _row_blocks, as_point)
 from .operators import Operator, compose, identity, projection_operator, relax
 from .theory import RelaxationPair
 
@@ -283,44 +284,173 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _log10_cell(e: float) -> str:
-    # math.log10, not np.log10: the two may differ in the last ulp
-    return "%.17g" % (math.log10(e) if e > 0 else -math.inf)
+def _log10(errors) -> list:
+    """math.log10 of each error (np.log10 may differ in the last ulp):
+    -inf for a zero error, nan for a NaN one."""
+    return [math.log10(e) if e > 0 else -math.inf if e == 0 else math.nan
+            for e in errors]
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write text lines, each ending in a newline, as UTF-8, creating the
-    file's directory first.  Every file the CLI writes goes through here."""
+# The exact 17-digit cell kernel (_row_bytes).  A finite x with |x| in
+# [1e-6, 1e17) has a decimal exponent k in [-6, 16], and |x| * 10**(16 - k)
+# is exactly hi + lo: 10**p is a double for p <= 22, and Dekker's split
+# product (1971) loses nothing, FMA or not.  Rounded half-even, hi + lo is
+# the 17-digit significand "%.17g" prints.  Every other cell (0, inf, nan,
+# subnormals, the rest of the range, and the double nearest 1e-6, whose k
+# is -7) is "%.17g" itself, one at a time.
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo, each with at most 26 significant
+    bits, so that products of halves are exact."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# "00".."99", two characters to a uint16
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+
+# A cell's bytes: 0 the sign; 1-5 "0.", "0.0", .. "0.000" of k in [-4, -1];
+# significand digit i at 6 + 2i and a point slot after it at 7 + 2i;
+# 39-42 "e-05" or "e-06"; 43 the separator.  NUL fills unused slots, and
+# the writer drops it.
+_CELL = 44
+
+
+@functools.cache  # at the first CSV: a process that writes none never builds it
+def _layouts() -> np.ndarray:
+    """Cell templates by (k + 6, j, sign), j the last nonzero digit of the
+    significand: the sign, prefix, point and exponent bytes, and 0xff in
+    each digit slot shown, NUL in the trailing zeros stripped.  Read-only."""
+    k = np.arange(-6, 17)[:, None, None]
+    j = np.arange(17)[None, :, None]
+    i = np.arange(17)
+    t = np.zeros((23, 17, 2, _CELL), np.uint8)
+    t[..., 1, 0] = ord("-")
+    for e in range(1, 5):
+        t[6 - e, ..., 1:e + 2] = np.frombuffer(b"0." + b"0" * (e - 1), np.uint8)
+    last = np.where(k >= 0, np.maximum(j, k), j)  # integer digits stay
+    t[..., 6:39:2] = ((i <= last) * np.uint8(0xFF))[:, :, None]
+    after = np.maximum(k, 0)  # the digit the point follows
+    point = (j > after) & ((k >= 0) | (k < -4)) & (i[:16] == after)
+    t[..., 7:39:2] = (point * np.uint8(ord(".")))[:, :, None]
+    t[0, ..., 39:43] = np.frombuffer(b"e-06", np.uint8)
+    t[1, ..., 39:43] = np.frombuffer(b"e-05", np.uint8)
+    t = t.reshape(-1, _CELL)
+    t.setflags(write=False)
+    return t
+
+
+def _scaled(a, k):
+    """a * 10**(16 - k) as the exact sum hi + lo."""
+    p = 16 - k
+    hi = a * _POW10.take(p)
+    ah, al = _split(a)
+    ch, cl = _POW10_HI.take(p), _POW10_LO.take(p)
+    return hi, ((ah * ch - hi) + ah * cl + al * ch) + al * cl
+
+
+def _significands(v):
+    """(exact, k, n) of v, a (m,) float64 array: where the kernel applies
+    and, there, each value's decimal exponent and 17-digit significand."""
+    a = np.abs(v)
+    exact = (a >= 1e-6) & (a < 1e17)
+    a[~exact] = 1.0
+    k = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 16)
+    hi, lo = _scaled(a, k)
+    # log10 may put k one off: move it to bring hi + lo into [1e16, 1e17)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        moved = k[off] + np.where(high[off], 1, -1)
+        k[off] = np.clip(moved, -6, 16)
+        exact[off] &= k[off] == moved
+        hi[off], lo[off] = _scaled(a[off], k[off])
+    # hi is an even integer (hi >= 2**53), so rint's half-even on lo is the
+    # significand's.  No carry makes 18 digits: in range, the doubles below
+    # a power of ten lie over 2**-54 of it below, and a carry needs 5e-18
+    return exact, k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _row_bytes(block, empty) -> bytes:
+    """The CSV lines of the rows of block, a float64 table: each cell the
+    bytes of "%.17g" of its value, or empty where empty is set."""
+    v = block.ravel()
+    exact, k, n = _significands(v)
+    digits = np.empty((len(v), 18), np.uint8)  # digit i at i + 1
+    pairs = digits.view(np.uint16)
+    for c in range(8, 0, -1):
+        q = n // 100
+        pairs[:, c] = _PAIRS.take(n - 100 * q)
+        n = q
+    digits[:, 1] = n + ord("0")
+    last = 16 - np.argmax(digits[:, :0:-1] != ord("0"), axis=1)
+    cells = _layouts().take(((k + 6) * 17 + last) * 2 + np.signbit(v), axis=0)
+    cells[:, 6:39:2] &= digits[:, 1:]
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        text = np.array(["%.17g" % x for x in v[rest].tolist()], f"S{_CELL - 1}")
+        cells[rest, :-1] = text.view(np.uint8).reshape(-1, _CELL - 1)
+    cells = cells.reshape(*block.shape, _CELL)
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    cells[empty, :-1] = 0
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _csv_chunks(header, columns):
+    """The bytes of a CSV file: the header line, then the columns, 1-d
+    float sequences, row by row, every cell "%.17g" of its value; a column
+    shorter than the longest leaves its last cells empty.  The rows come
+    in blocks whose temporaries together stay within geometry._ROW_BLOCK:
+    a value's cell, its bytes and the kernel's float64 work come to about
+    three cells."""
+    yield (",".join(header) + "\n").encode()
+    lengths = np.array([len(c) for c in columns])
+    table = np.full((lengths.max(), len(columns)), np.nan)
+    for j, col in enumerate(columns):
+        table[:len(col), j] = col
+    for rows in _row_blocks(table, 3 * _CELL):
+        yield _row_bytes(table[rows], np.arange(len(table))[rows, None] >= lengths)
+
+
+def _write(path: str, chunks) -> None:
+    """Write byte chunks to path as they come, creating the file's
+    directory first.  Every file the CLI writes goes through here."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write text lines, each ending in a newline, as UTF-8."""
+    _write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_trace_csv(path: str, trace: Trace) -> None:
-    """Write a trace in the canonical CSV schema (17 significant digits),
-    one %-template per row.  Raises UsageError unless the trace has one
+    """Write a trace in the canonical CSV schema (17 significant digits,
+    the bytes of "%.17g").  Raises UsageError unless the trace has one
     residual per transition and, if any, one solution error per iterate."""
     n, d = trace.iterates.shape
     if len(trace.residuals) != n - 1:
         raise UsageError(f"trace has {n} iterates but {len(trace.residuals)} "
                          f"residuals; expected {n - 1}")
-    if trace.solution_errors is not None and len(trace.solution_errors) != n:
-        raise UsageError(f"trace has {n} iterates but "
-                         f"{len(trace.solution_errors)} solution errors")
-    cols = ["k"] + [f"x_{j}" for j in range(d)] + ["residual"]
-    row = ",".join(["%d"] + ["%.17g"] * d + ["%s"])
-    res = ["%.17g" % r for r in trace.residuals]
-    rows = zip(range(n), trace.iterates.tolist(), res + [""])
-    if trace.solution_errors is None:
-        body = [row % (k, *x, r) for k, x, r in rows]
-    else:
-        cols += ["err_norm", "log10_err"]
-        row += ",%.17g,%s"
-        body = [row % (k, *x, r, e, _log10_cell(e))
-                for (k, x, r), e in zip(rows, trace.solution_errors)]
-    _write_lines(path, [",".join(cols)] + body)
+    errors = trace.solution_errors
+    if errors is not None and len(errors) != n:
+        raise UsageError(f"trace has {n} iterates but {len(errors)} solution errors")
+    header = ["k"] + [f"x_{j}" for j in range(d)] + ["residual"]
+    columns = [range(n), *trace.iterates.T, trace.residuals]
+    if errors is not None:
+        header += ["err_norm", "log10_err"]
+        columns += [errors, _log10(errors)]
+    _write(path, _csv_chunks(header, columns))
 
 
 def read_trace_csv(path: str) -> Trace:

@@ -93,12 +93,12 @@ def _norms(r):
     return _roots(sq, r)
 
 
-def _row_blocks(r):
-    """Slices of r's rows, in order, each at most _ROW_BLOCK bytes of
-    float64 (one row at least), so a temporary made per block stays that
-    small.  Row-local arithmetic keeps its bits: numpy's per-row sums do
-    not depend on the block."""
-    step = max(1, _ROW_BLOCK // (8 * r.shape[-1]))
+def _row_blocks(r, cell_bytes=8):
+    """Slices of r's rows, in order, each at most _ROW_BLOCK bytes at
+    cell_bytes per entry of r (float64's 8 unless given; one row at least),
+    so a temporary made per block stays that small.  Row-local arithmetic
+    keeps its bits: numpy's per-row sums do not depend on the block."""
+    step = max(1, _ROW_BLOCK // (cell_bytes * r.shape[-1]))
     return (slice(i, i + step) for i in range(0, len(r), step))
 
 

@@ -95,6 +95,19 @@ def test_example_paper_long_runs_exit_0_with_strictly_decreasing_errors(
         assert np.all(np.diff(tr.solution_errors) < 0), name
 
 
+def test_example_paper_errors_csv_leaves_the_cells_of_ended_traces_empty(tmp_path):
+    # at 4000 steps map and new stop early (2399 and 3334 rows); errors.csv
+    # has a row per step of the longest, "%.17g" of math.log10 per error
+    assert main(["example-paper", "--out", str(tmp_path), "--iters", "4000"]) == 0
+    errors = [read_trace_csv(str(tmp_path / f"{name}.csv")).solution_errors
+              for name in ("map", "dr", "new")]
+    lines = ["k,log10_err_map,log10_err_dr,log10_err_new"]
+    for k in range(max(map(len, errors))):
+        lines.append(",".join([str(k)] + ["%.17g" % math.log10(e[k]) if k < len(e)
+                                          else "" for e in errors]))
+    assert (tmp_path / "errors.csv").read_text().split("\n") == lines + [""]
+
+
 def test_example_paper_warns_with_the_dr_note_on_dr_alone(tmp_path, capsys):
     # after 5 steps every method is above 1e-2; the 33-step note is DR's
     assert main(["example-paper", "--out", str(tmp_path), "--iters", "5"]) == 0
