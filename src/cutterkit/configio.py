@@ -403,17 +403,18 @@ def _row_bytes(block, empty) -> bytes:
 
 
 def _csv_chunks(header, columns):
-    """The bytes of a CSV file: the header line, then the columns, 1-d
-    float sequences, row by row, every cell "%.17g" of its value; a column
-    shorter than the longest leaves its last cells empty.  The rows come
-    in blocks whose temporaries together stay within geometry._ROW_BLOCK:
-    a value's cell, its bytes and the kernel's float64 work come to about
-    three cells."""
+    """The bytes of a CSV file: the header line, then the columns (1-d
+    float sequences, or (n, k) arrays of k columns) row by row, every cell
+    "%.17g" of its value; a column shorter than the longest leaves its
+    last cells empty.  The rows come in blocks whose temporaries together
+    stay within geometry._ROW_BLOCK: a value's cell, its bytes and the
+    kernel's float64 work come to about three cells."""
     yield (",".join(header) + "\n").encode()
-    lengths = np.array([len(c) for c in columns])
-    table = np.full((lengths.max(), len(columns)), np.nan)
-    for j, col in enumerate(columns):
-        table[:len(col), j] = col
+    widths = [c.shape[1] if getattr(c, "ndim", 1) == 2 else 1 for c in columns]
+    lengths = np.repeat([len(c) for c in columns], widths)
+    table = np.full((lengths.max(), len(lengths)), np.nan)
+    for c, k, j in zip(columns, widths, np.cumsum([0] + widths)):
+        table[:len(c), j if getattr(c, "ndim", 1) == 1 else slice(j, j + k)] = c
     for rows in _row_blocks(table, 3 * _CELL):
         yield _row_bytes(table[rows], np.arange(len(table))[rows, None] >= lengths)
 
@@ -446,7 +447,7 @@ def write_trace_csv(path: str, trace: Trace) -> None:
     if errors is not None and len(errors) != n:
         raise UsageError(f"trace has {n} iterates but {len(errors)} solution errors")
     header = ["k"] + [f"x_{j}" for j in range(d)] + ["residual"]
-    columns = [range(n), *trace.iterates.T, trace.residuals]
+    columns = [range(n), trace.iterates, trace.residuals]
     if errors is not None:
         header += ["err_norm", "log10_err"]
         columns += [errors, _log10(errors)]

@@ -67,13 +67,17 @@ class ProbeConfig:
 
 def sample_ball(probe: ProbeConfig) -> np.ndarray:
     """(n, d) points uniform on B(center, radius): normalized Gaussian
-    directions scaled by radius * U^(1/d)."""
+    directions scaled by radius * U^(1/d).  A sample too large for numpy
+    to allocate is a UsageError."""
     rng = np.random.default_rng(probe.seed)
-    d = probe.center.size
-    g = rng.standard_normal((probe.sample_count, d))
-    g /= _norms(g)[:, None]
-    radii = probe.radius * rng.random(probe.sample_count) ** (1.0 / d)
-    g *= radii[:, None]
+    n, d = probe.sample_count, probe.center.size
+    try:
+        g = rng.standard_normal((n, d))
+        g /= _norms(g)[:, None]
+        g *= (probe.radius * rng.random(n) ** (1.0 / d))[:, None]
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise UsageError(f"probe.samples = {n} points in d = {d} are more than "
+                         f"numpy can allocate") from exc
     g += probe.center
     return g
 
@@ -103,18 +107,14 @@ class RegularityReport:
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         seed = self.seed if self.seed is not None else "-"
-        return (
-            f"PROBE {self.name} {status} margin={self.margin:.6g} "
-            f"samples={self.samples} seed={seed}"
-        )
+        return (f"PROBE {self.name} {status} margin={self.margin:.6g} "
+                f"samples={self.samples} seed={seed}")
 
 
 def _eval_batch(op: Operator, x: np.ndarray) -> np.ndarray:
-    """Evaluate an operator on an (n, d) batch.
-
-    Every Operator maps an (n, d) batch to an (n, d) batch row by row; one
-    that fails on a batch or returns another shape breaks that contract.
-    """
+    """op(x) on an (n, d) batch x.  Every Operator maps an (n, d) batch to
+    an (n, d) batch row by row; one that fails on a batch or returns
+    another shape breaks that contract."""
     try:
         out = np.asarray(op(x), dtype=float)
     except CutterKitError:
@@ -131,46 +131,44 @@ def _eval_batch(op: Operator, x: np.ndarray) -> np.ndarray:
 def _report(name, margins, points, tolerance, seed=None, **extra) -> RegularityReport:
     margins = np.asarray(margins, dtype=float)
     bad = np.where(~(margins >= -tolerance))[0]  # NaN too
-    violations = [
-        (name, points[i].copy(), float(margins[i]))
-        for i in bad[:MAX_RECORDED_VIOLATIONS]
-    ]
     return RegularityReport(
-        name=name,
-        passed=bad.size == 0,
+        name=name, passed=bad.size == 0, samples=int(margins.size), seed=seed,
         margin=float(margins.min()) if margins.size else math.inf,
-        samples=int(margins.size),
-        seed=seed,
-        violations=violations,
-        **extra,
-    )
+        violations=[(name, points[i].copy(), float(margins[i]))
+                    for i in bad[:MAX_RECORDED_VIOLATIONS]], **extra)
 
 
-def _fixed_point_probe(name, ops, fixed_sample, probe: ProbeConfig,
-                       margins) -> RegularityReport:
-    """Check that every z in fixed_sample is fixed by every operator in
-    ops = (T1, ..., Tk), sample x from the ball, and report the minimum
-    over z of the rows margins(zs, x, T1(x), ..., Tk(...T1(x))) returns,
-    one row per z.  margins runs on row blocks of x and the images (a
-    margin reads only its own row), so its differences stay block-sized.
-    """
+def _members(ops, fixed_sample, probe: ProbeConfig) -> np.ndarray:
+    """fixed_sample as a (k, d) array, once every op in ops fixes each point."""
     zs = np.atleast_2d(np.asarray(fixed_sample, dtype=float))
     if zs.size == 0:
         raise UsageError("fixed_sample must contain at least one point")
     for op in ops:
         moved = _norms(_eval_batch(op, zs) - zs)
         if not np.all(moved <= probe.tolerance):  # a NaN image moves z
-            raise UsageError(
-                f"fixed_sample contains non-fixed points of {op.label}: "
-                f"max ||T(z) - z|| = {float(moved.max()):.3e}"
-            )
+            raise UsageError(f"fixed_sample contains non-fixed points of {op.label}: "
+                             f"max ||T(z) - z|| = {float(moved.max()):.3e}")
+    return zs
+
+
+def _sampled(name, probe, margins, zs, images, *params) -> RegularityReport:
+    """The report of the minimum over z of the rows, one per z, that
+    margins(zs, *images, *params) gives at each x of images = (X, T1(X),
+    ...), run on row blocks (a margin reads only its own row)."""
+    worst = np.empty(len(images[0]))
+    for rows in _row_blocks(images[0]):
+        worst[rows] = np.min(margins(zs, *(im[rows] for im in images), *params), axis=0)
+    return _report(name, worst, images[0], probe.tolerance, probe.seed)
+
+
+def _fixed_point_probe(name, ops, fixed_sample, probe, margins, *params):
+    """_sampled on the probe sample X and T1(X), ..., Tk(...T1(X)), once
+    ops = (T1, ..., Tk) fix every point of fixed_sample."""
+    zs = _members(ops, fixed_sample, probe)
     images = [probe.samples]
     for op in ops:
         images.append(_eval_batch(op, images[-1]))
-    worst = np.empty(len(images[0]))
-    for rows in _row_blocks(images[0]):
-        worst[rows] = np.min(margins(zs, *(im[rows] for im in images)), axis=0)
-    return _report(name, worst, images[0], probe.tolerance, probe.seed)
+    return _sampled(name, probe, margins, zs, images, *params)
 
 
 def _dot(a, b):
@@ -183,13 +181,50 @@ def _dist2(a, b):
     return _dot(r, r)
 
 
+def _distance(dist, x) -> np.ndarray:
+    """d(x) per row, for a ConvexSet or a distance callable dist."""
+    return np.asarray(getattr(dist, "distance", dist)(x), dtype=float)
+
+
+def _cutter(zs, x, tx):
+    xtx = x - tx
+    return [-_dot(z - tx, xtx) for z in zs]
+
+
+def _product_cutter(zs, x, utx, c):
+    """_cutter of (UT)_c, made of U(T(x)) by relax's own arithmetic."""
+    return _cutter(zs, x, utx if c == 1.0 else x + c * (utx - x))
+
+
+def _relaxed_cutter(zs, x, tx, lam):
+    a = tx - x
+    aa = _dot(a, a)
+    return [lam * _dot(z - x, a) - aa for z in zs]
+
+
+def _demicontraction(zs, x, tx, rho):
+    a = tx - x
+    aa = _dot(a, a)
+    return [_dist2(x, z) + rho * aa - _dist2(tx, z) for z in zs]
+
+
+def _lb1(zs, x, tx, utx, pair):
+    s1, s2 = split_roots(pair)
+    # comb is built in place and reduced before c exists
+    comb = tx - x
+    comb *= s1
+    b = utx - tx
+    b *= (1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0) * s2
+    comb += b
+    rhs = _dot(comb, comb)
+    del comb, b
+    c = utx - x
+    return [_dot(z - x, c) - rhs for z in zs]
+
+
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
     """Certify <z - T(x), x - T(x)> <= 0 over sampled x and supplied z."""
-    def margins(zs, x, tx):
-        xtx = x - tx
-        return [-_dot(z - tx, xtx) for z in zs]
-
-    return _fixed_point_probe("cutter", (t,), fixed_sample, probe, margins)
+    return _fixed_point_probe("cutter", (t,), fixed_sample, probe, _cutter)
 
 
 def relaxed_cutter_check(t: Operator, lam: float, fixed_sample,
@@ -197,13 +232,8 @@ def relaxed_cutter_check(t: Operator, lam: float, fixed_sample,
     """Certify lam <z - x, T(x) - x> >= ||T(x) - x||^2 over samples."""
     if not lam > 0:
         raise UsageError(f"lambda must be positive, got {lam}")
-
-    def margins(zs, x, tx):
-        a = tx - x
-        aa = _dot(a, a)
-        return [lam * _dot(z - x, a) - aa for z in zs]
-
-    return _fixed_point_probe("relaxed-cutter", (t,), fixed_sample, probe, margins)
+    return _fixed_point_probe("relaxed-cutter", (t,), fixed_sample, probe,
+                              _relaxed_cutter, lam)
 
 
 def demicontraction_check(t: Operator, rho: float, fixed_sample,
@@ -211,13 +241,8 @@ def demicontraction_check(t: Operator, rho: float, fixed_sample,
     """Certify ||T(x) - z||^2 <= ||x - z||^2 + rho ||T(x) - x||^2."""
     if not rho < 1:
         raise UsageError(f"demicontraction constant must be < 1, got {rho}")
-
-    def margins(zs, x, tx):
-        a = tx - x
-        aa = _dot(a, a)
-        return [_dist2(x, z) + rho * aa - _dist2(tx, z) for z in zs]
-
-    return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe, margins)
+    return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe,
+                              _demicontraction, rho)
 
 
 def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
@@ -226,36 +251,38 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     <z - x, UT(x) - x> >= ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2
     with s1 = sqrt(1/lam - 1/nu), s2 = sqrt(1/mu - 1/nu), sign "+" when
     max{lam, mu} >= 2 and "-" otherwise."""
-    s1, s2 = split_roots(pair)
-    sign = 1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0
-
-    def margins(zs, x, tx, utx):
-        # comb is built in place and reduced before c exists
-        comb = tx - x
-        comb *= s1
-        b = utx - tx
-        b *= sign * s2
-        comb += b
-        rhs = _dot(comb, comb)
-        del comb, b
-        c = utx - x
-        return [_dot(z - x, c) - rhs for z in zs]
-
-    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, margins)
+    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _lb1, pair)
 
 
-def _kept(probe: ProbeConfig, dist):
-    """(x, d(x)) over the probe sample's rows x with d(x) not at most the
-    tolerance, NaN included, for a ConvexSet or distance callable dist.
-    x is the sample itself when every row is kept, else a batch of its
-    own: BLAS sums a row in an order that depends on its place in a batch.
-    """
-    x = probe.samples
-    d = np.asarray(getattr(dist, "distance", dist)(x), dtype=float)
+def _kept(probe, d, *images):
+    """d, the probe sample X and images of X over the rows whose d is not
+    at most the tolerance, NaN included: the arrays themselves if every
+    row is kept, else d and X cut and each image None, to be evaluated on
+    the kept batch (BLAS sums a row in an order that depends on its place
+    in a batch)."""
     keep = ~(d <= probe.tolerance)
     if keep.all():
-        return x, d
-    return x[keep], d[keep]
+        return (d, probe.samples, *images)
+    return (d[keep], probe.samples[keep]) + (None,) * len(images)
+
+
+def _lb2(t, u, pair, probe, dist, d=None, tx=None, utx=None) -> RegularityReport:
+    """lb2 on the probe sample X: d = dist(X), T(X) and U(T(X)) as given
+    or evaluated, and where _kept drops rows evaluated on the kept batch."""
+    if pair.lam == pair.mu:
+        return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
+    a_, b_ = alpha_beta(pair)
+    coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
+    d = _distance(dist, probe.samples) if d is None else d
+    d, x, tx, utx = _kept(probe, d, tx, utx)
+    if not d.size:
+        return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
+    if tx is None:
+        tx = _eval_batch(t, x)
+        utx = _eval_batch(u, tx)
+    biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
+    return _report("lb2", _norms(utx - x) - coef * biggest / d, x, probe.tolerance,
+                   probe.seed)
 
 
 def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
@@ -267,18 +294,7 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     Vacuous (SKIP) when lam == mu, since alpha = 0.  Samples inside the
     intersection are skipped as _kept does; a NaN distance fails.
     """
-    if pair.lam == pair.mu:
-        return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
-    a_, b_ = alpha_beta(pair)
-    coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
-    x, d = _kept(probe, intersection_distance)
-    if not d.size:
-        return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
-    tx = _eval_batch(t, x)
-    utx = _eval_batch(u, tx)
-    biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
-    margins = _norms(utx - x) - coef * biggest / d
-    return _report("lb2", margins, x, probe.tolerance, probe.seed)
+    return _lb2(t, u, pair, probe, intersection_distance)
 
 
 def regularity_modulus_estimate(t: Operator, fixed_set, probe: ProbeConfig) -> float:
@@ -287,10 +303,20 @@ def regularity_modulus_estimate(t: Operator, fixed_set, probe: ProbeConfig) -> f
     An upper bound on the true linear-regularity modulus over the samples
     _kept keeps; fixed_set, Fix T, is a ConvexSet or a distance callable.
     """
-    x, d = _kept(probe, fixed_set)
+    d, x = _kept(probe, _distance(fixed_set, probe.samples))
     if not d.size:
         raise EstimationError("all samples are degenerate (on the fixed set)")
     return float(np.min(_norms(_eval_batch(t, x) - x) / d))
+
+
+def _kappa_hat(probe, dm, intersection, di=None) -> float:
+    """max d(x, A n B) / dm over the rows x of the probe sample _kept keeps,
+    dm = max{d(x, A), d(x, B)}, on di = d(X, A n B) as given or evaluated,
+    and where _kept drops rows evaluated on the kept batch."""
+    dm, x, di = _kept(probe, dm, di)
+    if not dm.size:
+        raise EstimationError("all samples are degenerate (max distance ~ 0)")
+    return float(np.max((_distance(intersection, x) if di is None else di) / dm))
 
 
 def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
@@ -301,22 +327,8 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     each be a ConvexSet or a distance callable (for the true A n B).  It
     reads the samples _kept keeps, so a NaN distance gives a NaN estimate.
     """
-    x, dm = _kept(probe, lambda v: np.maximum(
-        np.asarray(getattr(a, "distance", a)(v)),
-        np.asarray(getattr(b, "distance", b)(v))))
-    if not dm.size:
-        raise EstimationError("all samples are degenerate (max distance ~ 0)")
-    di = np.asarray(getattr(intersection, "distance", intersection)(x), dtype=float)
-    return float(np.max(di / dm))
-
-
-def _answering(x, value, f):
-    """f, answering its call on the array x itself with value.
-
-    x is held here, so its identity cannot pass to another array while
-    the answer lives.
-    """
-    return lambda v: value if v is x else f(v)
+    x = probe.samples
+    return _kappa_hat(probe, np.maximum(_distance(a, x), _distance(b, x)), intersection)
 
 
 def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
@@ -326,59 +338,49 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     probes, and, given w, a point of the intersection, the product probes
     and kappa_hat (else None).
 
-    Each probe is a call of its public function, so whatever wraps those
-    (the benchmark's tracing) still sees every probe.  It runs on
-    operators that answer on the probe sample X with images evaluated
-    here once: P_A(X), P_B(X), T(X), U(X), U(T(X)) and, for lb2 and
-    kappa_hat, d(X, A n B).  P_A(X), P_B(X) and U(X) are dropped after
-    their last use (kappa_hat keeps ||X - P(X)|| where the set measures
-    distance that way), and T(X) and U(T(X)) before kappa_hat.  The
-    images are the ones each probe would evaluate, so the reports are
-    the same bit for bit; lb2 reads them when it keeps every sample.
+    The images of the probe sample X are evaluated here once each, P_A(X),
+    P_B(X), T(X), U(X), U(T(X)) and d(X, A n B), and handed to the margin
+    functions the public probes call on the images they evaluate: the
+    reports are the same bit for bit.  Each operator checks its membership
+    points once.  P_A(X), P_B(X) and U(X) go after their last use
+    (kappa_hat keeps ||X - P(X)|| where a set measures distance that way),
+    and T(X) and U(T(X)) before kappa_hat.
     """
-    def shared(op, at, image):  # op, answering on the array at with image
-        return Operator(_answering(at, image, op._fn), op.label, op.dim)
-
-    x = probe.samples
-    pts = x[:5]  # membership points for the single-operator checks
-    fixed_a, fixed_b = a.project(pts), b.project(pts)
+    x = probe.samples  # x[:5] gives the single-operator membership points
+    fixed_a, fixed_b = a.project(x[:5]), b.project(x[:5])
     named, dists = [], []
     for name, cset, fixed in (("cutter.PA", a, fixed_a), ("cutter.PB", b, fixed_b)):
         p = projection_operator(cset)
+        zs = _members((p,), fixed, probe)
         px = _eval_batch(p, x)
-        named.append((name, cutter_check(shared(p, x, px), fixed, probe)))
+        named.append((name, _sampled("cutter", probe, _cutter, zs, (x, px))))
         # a set with its own distance formula needs no projection for it
-        dists.append(cset if type(cset).distance is not ConvexSet.distance
-                     else _answering(x, _norms(x - px), cset.distance))
+        dists.append(cset.distance(x) if type(cset).distance is not ConvexSet.distance
+                     else _norms(x - px))
     del px
-    # from here on T answers on X, and U on X and later on T(X), from images
-    tx = _eval_batch(t, x)
-    t = shared(t, x, tx)
-    u_x = shared(u, x, _eval_batch(u, x))
-    named += [
-        ("relaxed-cutter.T", relaxed_cutter_check(t, pair.lam, fixed_a, probe)),
-        ("relaxed-cutter.U", relaxed_cutter_check(u_x, pair.mu, fixed_b, probe)),
-        ("demicontraction.T", demicontraction_check(
-            t, demicontraction_rho(pair.lam), fixed_a, probe)),
-        ("demicontraction.U", demicontraction_check(
-            u_x, demicontraction_rho(pair.mu), fixed_b, probe)),
-    ]
-    del u_x
+    tx, ux = _eval_batch(t, x), _eval_batch(u, x)
+    zs_a, zs_b = _members((t,), fixed_a, probe), _members((u,), fixed_b, probe)
+    for kind, margins, of_t, of_u in (
+            ("relaxed-cutter", _relaxed_cutter, pair.lam, pair.mu),
+            ("demicontraction", _demicontraction, demicontraction_rho(pair.lam),
+             demicontraction_rho(pair.mu))):
+        named += [(f"{kind}.T", _sampled(kind, probe, margins, zs_a, (x, tx), of_t)),
+                  (f"{kind}.U", _sampled(kind, probe, margins, zs_b, (x, ux), of_u))]
+    del ux
     if w is None:
         return named, None
-    dist = getattr(intersection, "distance", intersection)
-    oracle = _answering(x, dist(x), dist)
-    u = shared(u, tx, _eval_batch(u, tx))
+    dw = _distance(intersection, x)
+    utx = _eval_batch(u, tx)
+    c = np.array(1.0 / nu(pair))  # relax's factor of (UT)_{1/nu}
+    zs = _members((relax(compose(u, t), c),), [w], probe)
     named += [
-        # relax and compose evaluate T and U through their functions, so
-        # (UT)_{1/nu} is relax's own arithmetic on the shared U(T(X))
-        ("product.cutter", cutter_check(relax(compose(u, t), 1.0 / nu(pair)),
-                                        [w], probe)),
-        ("lb1", lb1_check(t, u, pair, [w], probe)),
-        ("lb2", lb2_check(t, u, pair, oracle, probe)),
+        ("product.cutter", _sampled("cutter", probe, _product_cutter, zs, (x, utx), c)),
+        ("lb1", _sampled("lb1", probe, _lb1, _members((t, u), [w], probe),
+                         (x, tx, utx), pair)),
+        ("lb2", _lb2(t, u, pair, probe, intersection, dw, tx, utx)),
     ]
-    del t, u, tx  # T(X) and U(T(X)) go before kappa_hat
-    return named, pair_regularity_estimate(*dists, oracle, probe)
+    del tx, utx  # T(X) and U(T(X)) go before kappa_hat
+    return named, _kappa_hat(probe, np.maximum(*dists), intersection, dw)
 
 
 def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,
@@ -401,10 +403,8 @@ def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,
     errs = _norms(trace.iterates - x_star)
     margins = q * errs[:-1] - errs[1:]
     denom_ok = errs[:-1] > 1e-15
-    q_factor = (
-        float(np.max(errs[1:][denom_ok] / errs[:-1][denom_ok]))
-        if np.any(denom_ok) else None
-    )
+    q_factor = (float(np.max(errs[1:][denom_ok] / errs[:-1][denom_ok]))
+                if np.any(denom_ok) else None)
     return _report("rate", margins, trace.iterates[:-1], tol, q_factor=q_factor)
 
 
@@ -419,9 +419,8 @@ def fejer_check(trace: Trace, w, intersection_distance=None,
     margins = dists[:-1] - dists[1:]
     points = trace.iterates[:-1]
     if intersection_distance is not None:
-        dist = getattr(intersection_distance, "distance", intersection_distance)
-        loc = 2.0 * np.asarray(dist(trace.iterates), dtype=float) \
-            - _norms(trace.iterates - trace.final)
+        loc = (2.0 * _distance(intersection_distance, trace.iterates)
+               - _norms(trace.iterates - trace.final))
         margins = np.concatenate([margins, loc])
         points = np.vstack([points, trace.iterates])
     return _report("fejer", margins, points, tol)
@@ -442,8 +441,7 @@ def dc_gap_check(trace: Trace, w, nu_value: float, epsilon: float,
     alphas = np.asarray(trace.step_sizes) * nu_value
     if np.any(alphas <= 0):
         raise UsageError("recovered alpha_k must be positive")
-    res = np.asarray(trace.residuals)
     m1 = gaps - ((2.0 - alphas) / alphas) * deltas**2
-    m2 = gaps - (epsilon / nu_value) ** 2 * res**2
+    m2 = gaps - (epsilon / nu_value) ** 2 * np.asarray(trace.residuals)**2
     margins = np.minimum(m1, m2)
     return _report("fejer-dc", margins, trace.iterates[:-1], tol)

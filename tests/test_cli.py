@@ -949,6 +949,17 @@ def test_verify_far_probe_ball_is_a_validation_error_without_a_warning(
                         r"\d\.\d{3}e\+18\d\n", err), err
 
 
+def test_verify_probe_budget_numpy_cannot_allocate_exits_3(tmp_path, capsys):
+    # numpy refuses 10**18 points of d = 2 before it allocates; the map and
+    # dr baselines draw no sample and run first
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, probe={"samples": 1e18})
+    assert main(["verify", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: probe.samples = 1000000000000000000 points in d = 2 "
+        "are more than numpy can allocate\n")
+
+
 def test_verify_symmetric_pair_reports_lb2_vacuous(tmp_path, capsys):
     cfg = tmp_path / "eq.json"
     write_config(cfg, methods=[{"name": "sym", "driver": "product",
@@ -1277,16 +1288,18 @@ def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):
     # two affine sets meeting in a point: a product method's battery needs
     # P_A(X), P_B(X), T(X), U(X) and U(T(X)) once each, and the
     # intersection oracle (an AffineSubspace too) projects the sample once,
-    # for lb2 and kappa_hat both (lambda != mu, so lb2 is not skipped)
+    # for lb2 and kappa_hat both (lambda != mu, so lb2 is not skipped).
+    # Operators bind the raw _project, and the public project calls it, so
+    # it is _project that is counted, patched before the config is loaded
     sample_batches = []
-    project = AffineSubspace.project
+    project = AffineSubspace._project
 
     def counted(self, x):
-        if np.ndim(x) == 2 and np.shape(x)[0] == 300:
+        if x.ndim == 2 and len(x) == 300:
             sample_batches.append(self)
         return project(self, x)
 
-    monkeypatch.setattr(AffineSubspace, "project", counted)
+    monkeypatch.setattr(AffineSubspace, "_project", counted)
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **dict(AFFINE_D5, problem={"sets": [
         {"type": "affine", "anchor": [1, 0, 0, 0, 0],
@@ -1294,4 +1307,4 @@ def test_verify_projects_the_sample_once_per_image(tmp_path, monkeypatch):
         {"type": "affine", "anchor": [0, 0, 0, 0, 2],
          "basis": [[0, 0, 0, 1, 0], [0.8, 0, 0, 0, 0.6], [0, 1, 0, 0, 0]]}]}))
     assert main(["verify", str(cfg)]) == 0
-    assert len(sample_batches) <= 6
+    assert 0 < len(sample_batches) <= 6

@@ -130,6 +130,29 @@ def test_sample_ball_is_seeded_and_inside():
     assert np.max(np.linalg.norm(pts - [5.0, 5.0], axis=1)) <= 0.5 + 1e-12
 
 
+def test_a_sample_numpy_cannot_allocate_is_a_usage_error(monkeypatch):
+    # 10**18 points of d = 2 are refused by numpy before it allocates
+    # ("array is too big"); a MemoryError comes from a generator stub, so
+    # no test allocates a large array
+    probe = ProbeConfig(center=[0.0, 0.0], radius=1.0, sample_count=10**18)
+    with pytest.raises(UsageError, match=r"probe\.samples = 1000000000000000000 "
+                                         r"points in d = 2 are more than numpy"):
+        sample_ball(probe)
+
+    class Refusing:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            raise MemoryError(f"cannot allocate {shape}")
+
+    monkeypatch.setattr(np.random, "default_rng", Refusing)
+    probe = ProbeConfig(center=[0.0, 0.0, 0.0], radius=1.0, sample_count=5000)
+    with pytest.raises(UsageError, match=r"probe\.samples = 5000 points in d = 3 "
+                                         r"are more than numpy can allocate"):
+        sample_ball(probe)
+
+
 def test_report_line_format():
     rep = cutter_check(projection_operator(LINE_A), [ORIGIN], PROBE)
     line = rep.line()
@@ -422,8 +445,11 @@ BOX_PAIR = (Box([-1, -1, -1], [1, 1, 1]), Box([0, -2, -0.5], [2, 2, 0.5]))
     # some samples lie in the intersection: lb2 and kappa_hat keep rows
     (BOX_PAIR, Box([0, -1, -0.5], [1, 1, 0.5]), 2.5, 1.2,
      RelaxationPair(2.5, 1.2), 300),
+    # nu is exactly 1.0: relax(., 1.0) returns U T itself, and
+    # x + 1.0 * (U(T(x)) - x) differs from U(T(x)) in 249 of the 500 rows
+    (_affine_pair(9, 2), None, 0.5, 0.8, RelaxationPair(0.5, 0.8), 500),
 ], ids=["affine-d40-plus", "affine-d9-minus", "affine-d40-blocks",
-        "boxes-kept-rows"])
+        "boxes-kept-rows", "affine-d9-nu-one"])
 def test_battery_margins_keep_the_bits_of_the_plain_expressions(
         monkeypatch, sets, inter, lam_t, mu_u, pair, n):
     a, b = sets
