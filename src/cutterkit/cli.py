@@ -27,7 +27,7 @@ from .configio import ExperimentConfig
 from .engine import IterationConfig, Trace, iterate, run_dr, run_map
 from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
-from .geometry import AffineSubspace, Hyperplane, _solve_affine, intersect_affine
+from .geometry import intersection, intersection_point
 from .svg import emit_svg
 from .theory import RelaxationPair, delta_projections, nu
 
@@ -92,37 +92,6 @@ def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
     return EXIT_OK
 
 
-def _affine_pair(cfg):
-    """(sets[0], sets[1]) when both are affine, else None."""
-    pair = cfg.sets[0], cfg.sets[1]
-    if all(isinstance(s, (Hyperplane, AffineSubspace)) for s in pair):
-        return pair
-    return None
-
-
-def _intersection_oracle(cfg):
-    """Explicit intersection set if configured, else the affine
-    intersection when both sets admit one."""
-    if cfg.intersection is not None:
-        return cfg.intersection
-    pair = _affine_pair(cfg)
-    return intersect_affine(*pair) if pair else None  # InfeasibleError: exit 3
-
-
-def _unique_point(cfg):
-    """The single point of the intersection oracle, or None when it is
-    not one point.  The affine intersection is only solved for: its
-    null-space rows are counted, not orthonormalized into a basis."""
-    pair = _affine_pair(cfg)
-    if cfg.intersection is None and pair:
-        anchor, null_rows = _solve_affine(*pair)  # InfeasibleError: exit 3
-        return None if len(null_rows) else anchor
-    oracle = cfg.intersection
-    if isinstance(oracle, AffineSubspace) and oracle.basis.shape[0] == 0:
-        return oracle.anchor
-    return None
-
-
 def _run_method(cfg, method, residual_tol, solution=None, max_iter=None) -> Trace:
     iters = max_iter if max_iter is not None else cfg.iterations
     a, b = cfg.sets[0], cfg.sets[1]
@@ -142,11 +111,13 @@ def _run_method(cfg, method, residual_tol, solution=None, max_iter=None) -> Trac
 
 
 def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
-    """Run every method of cfg against the unique intersection point, when
-    there is one; then, once every run has ended, write each trace's CSV
-    into csv_dir and, given svg_dir, the trajectory plot and, given that
-    point, the error plot, titled by titles.  Returns [(name, trace), ...]."""
-    solution = _unique_point(cfg)
+    """Run every method of cfg against the intersection's single point, when
+    it has one (the config's intersection, else the sets'); then, once
+    every run has ended, write each trace's CSV into csv_dir and, given
+    svg_dir, the trajectory plot and, given that point, the error plot,
+    titled by titles.  Returns [(name, trace), ...]."""
+    solution = (cfg.intersection.point if cfg.intersection is not None
+                else intersection_point(*cfg.sets[:2]))  # InfeasibleError: exit 3
     named = [(method.name, _run_method(cfg, method, residual_tol, solution))
              for method in cfg.methods]
     for name, trace in named:
@@ -255,7 +226,8 @@ def _verify_method(cfg, method, oracle, w, probe):
 
 def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     cfg = _load(config_path, seed, iters)
-    oracle = _intersection_oracle(cfg)
+    oracle = (cfg.intersection if cfg.intersection is not None
+              else intersection(*cfg.sets[:2]))  # InfeasibleError: exit 3
     w = oracle.project(cfg.x0) if oracle is not None else None
     probe = diagnostics.ProbeConfig(
         center=cfg.x0 if w is None else w,

@@ -217,6 +217,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     intersection = None
     if problem.get("intersection") is not None:
         intersection = set_from_dict(problem["intersection"])
+        _checked(x0, intersection.dim, "problem.intersection")
 
     raw_methods = _field(doc, "methods", "config", None)
     if not isinstance(raw_methods, list):
@@ -275,13 +276,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return parse_config(json.load(fh))
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from None
-    return parse_config(doc)
+        raise ConfigError(f"{path}: JSON parse error at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except RecursionError:  # json.load's or parse_config's, past the limit
+        raise ConfigError(f"{path}: nested too deeply to parse") from None
 
 
 def _log10(errors) -> list:

@@ -132,6 +132,11 @@ class ConvexSet:
 
     dim: int
 
+    @property
+    def point(self):
+        """The set's single point, when it is known to be one; else None."""
+        return None
+
     def project(self, x):
         return self._project(self._coerce(x))
 
@@ -231,6 +236,10 @@ class AffineSubspace(ConvexSet):
         self.basis = _frozen(np.array(vecs) if vecs else np.zeros((0, self.dim)))
         self._q = self.basis.T  # (d, k), orthonormal columns
 
+    @property
+    def point(self):
+        return None if len(self.basis) else self.anchor
+
     def _project(self, x):
         # x - anchor is freed before the second product makes its output
         return self.anchor + (x - self.anchor).dot(self._q).dot(self.basis)
@@ -289,14 +298,10 @@ def _constraint_rows(cset):
     if isinstance(cset, Hyperplane):
         return cset.normal[None, :], np.array([cset.offset])
     if isinstance(cset, AffineSubspace):
-        k = cset.basis.shape[0]
-        if k == 0:
-            m = np.eye(cset.dim)
-        else:
-            # Orthogonal complement of span(basis): trailing left-singular
-            # vectors of the (d, k) orthonormal basis matrix.
-            u, _, _ = np.linalg.svd(cset._q, full_matrices=True)
-            m = u[:, k:].T
+        # Orthogonal complement of span(basis): trailing left-singular vectors
+        # of the (d, k) orthonormal basis matrix; np.eye(d) bit for bit at k = 0
+        u, _, _ = np.linalg.svd(cset._q, full_matrices=True)
+        m = u[:, cset.basis.shape[0]:].T
         return m, m @ cset.anchor
     raise UsageError(f"intersect_affine supports Hyperplane and AffineSubspace, "
                      f"got {type(cset).__name__}")
@@ -335,3 +340,23 @@ def intersect_affine(a, b) -> AffineSubspace:
     InfeasibleError when the sets do not meet: when the anchor misses the
     stacked constraints m x = c by more than 1e-9 (1 + ||c||)."""
     return AffineSubspace(*_solve_affine(a, b))
+
+
+def _affine(*sets) -> bool:
+    return all(isinstance(s, (Hyperplane, AffineSubspace)) for s in sets)
+
+
+def intersection(a, b) -> ConvexSet | None:
+    """A n B where its exact form is known, else None: for now two affine
+    sets, as intersect_affine(a, b) (InfeasibleError if they do not meet)."""
+    return intersect_affine(a, b) if _affine(a, b) else None
+
+
+def intersection_point(a, b):
+    """The single point of intersection(a, b); None for a flat or a pair of
+    no known exact form.  Solved for: a flat's null-space rows are counted,
+    not orthonormalized into a basis."""
+    if not _affine(a, b):
+        return None
+    anchor, null_rows = _solve_affine(a, b)
+    return None if len(null_rows) else anchor

@@ -817,6 +817,73 @@ def test_bad_config_exits_with_its_code_before_writing(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+DEEP = 100000
+
+# id: (the config file's bytes, stderr after "config error: <path>: ")
+UNREADABLE_CONFIGS = {
+    "utf-16-bom": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte"),
+    f"nested-{DEEP}-deep": (b"[" * DEEP + b"]" * DEEP, "nested too deeply to parse"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("content, message", UNREADABLE_CONFIGS.values(),
+                         ids=UNREADABLE_CONFIGS.keys())
+def test_a_config_not_utf8_or_nested_too_deep_exits_2(tmp_path, capsys, command,
+                                                       content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _deep_alpha(doc):
+    alpha = 1.0
+    for _ in range(DEEP):
+        alpha = [alpha]
+    doc["methods"][2]["alpha"] = alpha
+
+
+def _deep_operator_tree(doc):
+    t = {"op": "projection", "set": 0}
+    for _ in range(DEEP):
+        t = {"op": "relax", "lambda": 1.0, "of": t}
+    doc["methods"][2]["T"] = t
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("deepen", [_deep_alpha, _deep_operator_tree],
+                         ids=["alpha", "operator-tree"])
+def test_a_document_parse_config_cannot_follow_is_a_config_error(
+        tmp_path, capsys, monkeypatch, command, deepen):
+    # JSON text this deep stops json.load itself (above); the parsed
+    # document is handed over as it is, so that parse_config meets it
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg)
+    deepen(doc)
+    monkeypatch.setattr(configio.json, "load", lambda fh: doc)
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: nested too deeply to parse\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_intersection_of_another_dimension_exits_3_before_writing(
+        tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg)
+    doc["problem"]["intersection"] = {"type": "ball", "center": [0, 0, 0],
+                                      "radius": 1}
+    cfg.write_text(json.dumps(doc))
+    assert main([command, str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: dimension mismatch: problem.intersection is "
+        "3-dimensional, point has shape (2,)\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_an_identity_operator_runs(tmp_path, capsys, command):
     # T = I with declared lambda 1 and U = P_B: the product is P_B, and

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from cutterkit import (AffineSubspace, Ball, Box, HalfSpace, Hyperplane,
                        InfeasibleError, UsageError, as_point, intersect_affine)
+from cutterkit.configio import set_from_dict
 from cutterkit.engine import _row_norms
-from cutterkit.geometry import ORTHO_TOL, _norm, _norms
+from cutterkit.geometry import (ORTHO_TOL, _constraint_rows, _norm, _norms,
+                                intersection, intersection_point)
+from test_cli import FLAT_RUNS, _point_pair_d50
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
 LINE_A = Hyperplane([0.0, 1.0], 0.0)                 # x-axis
@@ -609,3 +612,147 @@ def test_affine_basis_dependence_is_relative_to_each_vector():
     # a unit-scale remainder at the threshold keeps the absolute rule
     assert AffineSubspace(np.zeros(2), [[1.0, 0.0], [1.0, 1e-13]]).basis.shape[0] == 1
     assert AffineSubspace(np.zeros(2), [[1.0, 0.0], [1.0, 1e-11]]).basis.shape[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# a pair's exact intersection: intersection, intersection_point and point
+
+def _config_sets(doc):
+    return tuple(set_from_dict(s) for s in doc["problem"]["sets"])
+
+
+def _random_affine_pairs():
+    """Seeded hyperplanes and affine sets in d <= 8 through one point p,
+    the affine ones of random rank below d: they meet in p or in a flat."""
+    rng = np.random.default_rng(24)
+    pairs = []
+    for d in range(1, 9):
+        p = rng.standard_normal(d)
+        for _ in range(3):
+            sets = []
+            for kind in rng.integers(0, 2, size=2):
+                if kind and d > 1:
+                    normal = rng.standard_normal(d)
+                    sets.append(Hyperplane(normal, normal.dot(p)))
+                else:
+                    k = int(rng.integers(0, d))
+                    sets.append(AffineSubspace(p, rng.standard_normal((k, d))))
+            pairs.append(tuple(sets))
+    return pairs
+
+
+def _exact_pairs():
+    pairs = {name: _config_sets(doc) for name, doc in FLAT_RUNS.items()}
+    pairs["point-pair-d50"] = _config_sets(_point_pair_d50())
+    pairs["paper-lines"] = (
+        LINE_A, Hyperplane([-math.sin(math.pi / 6), math.cos(math.pi / 6)], 0.0))
+    pairs["paper-line-and-affine-line"] = (LINE_A, LINE_B)
+    pairs["rank-0-and-a-hyperplane-through-it"] = (
+        AffineSubspace([2.0, 0.0], np.empty((0, 2))), LINE_A)
+    pairs.update((f"random-{i}", pair) for i, pair in enumerate(_random_affine_pairs()))
+    return pairs
+
+
+EXACT_PAIRS = _exact_pairs()
+
+
+@pytest.mark.parametrize("name", EXACT_PAIRS)
+def test_intersection_of_affine_sets_is_intersect_affine(name):
+    a, b = EXACT_PAIRS[name]
+    inter, ref = intersection(a, b), intersect_affine(a, b)
+    assert type(inter) is AffineSubspace
+    assert inter.anchor.tobytes() == ref.anchor.tobytes()
+    assert inter.basis.shape == ref.basis.shape
+    assert inter.basis.tobytes() == ref.basis.tobytes()
+    if inter.basis.shape[0] == 0:
+        assert inter.point is inter.anchor
+    else:
+        assert inter.point is None
+
+
+@pytest.mark.parametrize("name", EXACT_PAIRS)
+def test_intersection_point_solves_the_pair_without_building_a_set(
+        name, monkeypatch):
+    a, b = EXACT_PAIRS[name]
+    expected = intersection(a, b).point
+    built = []
+    init = AffineSubspace.__init__
+
+    def counted(self, anchor, basis=()):
+        built.append(len(basis))
+        init(self, anchor, basis)
+
+    monkeypatch.setattr(AffineSubspace, "__init__", counted)
+    point = intersection_point(a, b)
+    assert built == []
+    if expected is None:
+        assert point is None
+    else:
+        assert point.tobytes() == expected.tobytes()
+
+
+def test_the_pairs_meet_in_points_and_in_flats():
+    # so that the two tests above see both results
+    ranks = {n: intersect_affine(a, b).basis.shape[0]
+             for n, (a, b) in EXACT_PAIRS.items()}
+    assert all(ranks[n] for n in FLAT_RUNS)
+    assert ranks["point-pair-d50"] == ranks["paper-lines"] == 0
+    random = [r for n, r in ranks.items() if n.startswith("random-")]
+    assert 0 < random.count(0) < len(random)
+
+
+@pytest.mark.parametrize("a, b", [
+    (HalfSpace([1.0, -2.0], 0.5), Ball([0.5, -0.5], 1.5)),
+    (Ball([0.5, -0.5], 1.5), Box([-1.0, 0.0], [1.0, 2.0])),
+    (HalfSpace([1.0, -2.0], 0.5), Box([-1.0, 0.0], [1.0, 2.0])),
+    (LINE_B, Ball([0.5, -0.5], 1.5)),
+    (Ball([0.5, -0.5], 1.5), AffineSubspace([0.0, 0.0], np.empty((0, 2)))),
+], ids=["halfspace-ball", "ball-box", "halfspace-box", "affine-ball",
+        "ball-rank-0-affine"])
+def test_pairs_of_no_known_exact_form_give_none(a, b):
+    assert intersection(a, b) is None
+    assert intersection_point(a, b) is None
+
+
+@pytest.mark.parametrize("a, b, error, message", [
+    (Hyperplane([1, 0], 0), Hyperplane([2, 0], 1), InfeasibleError,
+     "empty intersection"),
+    (AffineSubspace([0, 0, 0], [[1, 0, 0], [0, 1, 0]]),
+     AffineSubspace([0, 0, 1], [[1, 1, 0]]), InfeasibleError, "empty intersection"),
+    # the least-squares point overflows
+    (Hyperplane([1, 0], 1e308), Hyperplane([1, 1e-10], 0), UsageError, "non-finite"),
+], ids=["parallel-planes", "disjoint-affine", "overflowing-anchor"])
+def test_affine_pairs_without_a_finite_common_point_raise_from_both(a, b, error,
+                                                                   message):
+    for find in (intersection, intersection_point):
+        with pytest.raises(error, match=message):
+            find(a, b)
+
+
+@pytest.mark.parametrize("cset", [
+    Ball([0.5, -0.5], 1.5), Box([-1.0, 0.0], [1.0, 2.0]), HalfSpace([1.0, -2.0], 0.5),
+    LINE_A, LINE_B, AffineSubspace([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["ball", "box", "halfspace", "hyperplane", "affine-line", "affine-plane"])
+def test_only_a_one_point_set_has_a_point(cset):
+    assert cset.point is None
+    with pytest.raises(AttributeError):
+        cset.point = np.zeros(2)
+
+
+def test_a_rank_0_affine_set_is_its_point():
+    point = AffineSubspace([2.0, -1.0], [])
+    assert point.point is point.anchor
+    assert point.point.tolist() == [2.0, -1.0]
+    with pytest.raises(AttributeError):
+        point.point = np.zeros(2)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_constraint_rows_of_a_rank_0_affine_set_are_the_identity(d):
+    # the svd of the (d, 0) basis matrix gives np.eye(d) bit for bit, so
+    # a point set needs no branch of its own
+    anchor = np.random.default_rng(d).standard_normal(d)
+    m, c = _constraint_rows(AffineSubspace(anchor, []))
+    assert m.shape == (d, d)
+    assert m.tobytes() == np.eye(d).tobytes()
+    assert c.tobytes() == (np.eye(d) @ anchor).tobytes()
