@@ -240,7 +240,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     for method in cfg.methods:
         reports += _verify_method(cfg, method, oracle, w, probe)
 
-    _output([rep.line() for rep in reports], cfg.outputs.get("report"))
+    _output([rep.line() for rep in reports], cfg.outputs.get("probes"))
     failed = [r for r in reports if not r.skipped and not r.passed]
     if failed:
         print(f"{len(failed)} probe(s) failed", file=sys.stderr)

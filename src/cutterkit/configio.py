@@ -16,7 +16,8 @@ The config is a single JSON document:
         {"name": "new", "driver": "product", "lambda": 3.0, "mu": 1.0,
          "alpha": 1.0, "epsilon": 1.0}
       ],
-      "outputs": {"csv": "outdir", "svg": "outdir", "report": "outdir/report.txt"},
+      "outputs": {"csv": "outdir", "svg": "outdir", "report": "outdir/report.txt",
+                  "probes": "outdir/probes.txt"},  # report: run's; probes: verify's
       "probe": {"radius": 2.0, "samples": 2000}   # optional, verify only
     }
 
@@ -256,7 +257,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be an object")
-    for key in ("csv", "svg", "report"):
+    for key in ("csv", "svg", "report", "probes"):
         if not isinstance(outputs.get(key, ""), str):
             raise ConfigError(f"outputs: {key} must be a path, got {outputs[key]!r}")
     probe = doc.get("probe", {})

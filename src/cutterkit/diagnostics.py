@@ -151,24 +151,41 @@ def _members(ops, fixed_sample, probe: ProbeConfig) -> np.ndarray:
     return zs
 
 
-def _sampled(name, probe, margins, zs, images, *params) -> RegularityReport:
-    """The report of the minimum over z of the rows, one per z, that
-    margins(zs, *images, *params) gives at each x of images = (X, T1(X),
-    ...), run on row blocks (a margin reads only its own row)."""
-    worst = np.empty(len(images[0]))
+def _least(margins):
+    """The per-row minimum over z of margins, one row of them per z; None
+    when there are none."""
+    return np.min(margins, axis=0) if margins else None
+
+
+def _rows(margins, zs, images, **params):
+    """margins(zs, *blocks, **params) on row blocks of images = (X, T1(X),
+    ..., and per-row (n,) arrays; an image may be a function that makes
+    the block of given rows), each of its parts gathered into one (n,)
+    array; None stays None, a part not asked for.  A margin reads only
+    its own row of each image, plus the fixed points zs, so the blocks
+    change no bit."""
+    whole = None
     for rows in _row_blocks(images[0]):
-        worst[rows] = np.min(margins(zs, *(im[rows] for im in images), *params), axis=0)
-    return _report(name, worst, images[0], probe.tolerance, probe.seed)
+        parts = margins(zs, *(im(rows) if callable(im) else im[rows] for im in images),
+                        **params)
+        if whole is None:
+            whole = [None if p is None else np.empty(len(images[0])) for p in parts]
+        for out, p in zip(whole, parts):
+            if p is not None:
+                out[rows] = p
+    return whole
 
 
-def _fixed_point_probe(name, ops, fixed_sample, probe, margins, *params):
-    """_sampled on the probe sample X and T1(X), ..., Tk(...T1(X)), once
-    ops = (T1, ..., Tk) fix every point of fixed_sample."""
+def _fixed_point_probe(name, ops, fixed_sample, probe, margins, part=0, **params):
+    """The report of part of _rows(margins, ...) on the probe sample X and
+    T1(X), ..., Tk(...T1(X)), once ops = (T1, ..., Tk) fix every point of
+    fixed_sample."""
     zs = _members(ops, fixed_sample, probe)
     images = [probe.samples]
     for op in ops:
         images.append(_eval_batch(op, images[-1]))
-    return _sampled(name, probe, margins, zs, images, *params)
+    return _report(name, _rows(margins, zs, images, **params)[part], images[0],
+                   probe.tolerance, probe.seed)
 
 
 def _dot(a, b):
@@ -186,40 +203,73 @@ def _distance(dist, x) -> np.ndarray:
     return np.asarray(getattr(dist, "distance", dist)(x), dtype=float)
 
 
-def _cutter(zs, x, tx):
+def _cutter(zs, x, tx, norms=False):
+    """At rows x, tx = T(x): the cutter margins -<z - T(x), x - T(x)>,
+    least over z, and given norms, ||x - T(x)|| (else None)."""
     xtx = x - tx
-    return [-_dot(z - tx, xtx) for z in zs]
+    return _least([-_dot(z - tx, xtx) for z in zs]), _norms(xtx) if norms else None
 
 
-def _product_cutter(zs, x, utx, c):
-    """_cutter of (UT)_c, made of U(T(x)) by relax's own arithmetic."""
-    return _cutter(zs, x, utx if c == 1.0 else x + c * (utx - x))
-
-
-def _relaxed_cutter(zs, x, tx, lam):
+def _operator_rows(zs, x, tx, lam=None, rho=None):
+    """At rows x, tx = T(x): the relaxed-cutter margins at lam,
+    lam <z - x, T(x) - x> - ||T(x) - x||^2, and the demicontraction
+    margins at rho, ||x - z||^2 + rho ||T(x) - x||^2 - ||T(x) - z||^2,
+    each least over z (None for a parameter not given), and
+    ||T(x) - x||^2.  T(x) - x and each z - x are made once for both:
+    ||x - z||^2 is the square of z - x, bit for bit."""
     a = tx - x
     aa = _dot(a, a)
-    return [lam * _dot(z - x, a) - aa for z in zs]
+    rc, dc = [], []
+    for z in zs:  # one block-sized difference at a time besides a
+        tz = _dist2(tx, z) if rho is not None else None
+        zx = z - x
+        if lam is not None:
+            rc.append(lam * _dot(zx, a) - aa)
+        if rho is not None:
+            dc.append(_dot(zx, zx) + rho * aa - tz)
+        del zx
+    return _least(rc), _least(dc), aa
 
 
-def _demicontraction(zs, x, tx, rho):
-    a = tx - x
-    aa = _dot(a, a)
-    return [_dist2(x, z) + rho * aa - _dist2(tx, z) for z in zs]
+def _product_rows(zs, x, tx, utx, d=None, aa=None, *, product=None, pair=None,
+                  coef=None):
+    """At rows x, tx = T(x) and utx = U(T(x)), each part asked for:
 
+    - given product = relax(U T, c), its cutter margins, its image made by
+      relax's closure (at c = 1 relax returns U T itself, image U(T(x)));
+    - given the pair, lb1's margins
+      <z - x, UT(x) - x> - ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2;
+    - given coef, lb2's margins ||UT(x) - x|| - coef max{||T(x) - x||^2,
+      ||UT(x) - T(x)||^2} / d, d = d(x, Fix T n Fix U) and aa the first
+      square when known.
 
-def _lb1(zs, x, tx, utx, pair):
-    s1, s2 = split_roots(pair)
-    # comb is built in place and reduced before c exists
-    comb = tx - x
-    comb *= s1
+    U(T(x)) - x and U(T(x)) - T(x) are made once for the three, and the
+    parts are taken in the order that holds the fewest blocks at a time.
+    """
+    r = utx - x
     b = utx - tx
-    b *= (1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0) * s2
-    comb += b
-    rhs = _dot(comb, comb)
-    del comb, b
-    c = utx - x
-    return [_dot(z - x, c) - rhs for z in zs]
+    lb2 = None
+    if coef is not None:
+        aa = _dist2(tx, x) if aa is None else aa
+        lb2 = _norms(r) - coef * np.maximum(aa, _dot(b, b)) / d
+    lb1 = None
+    if pair is not None:
+        s1, s2 = split_roots(pair)
+        # comb is built in place, and b scaled in place after lb2's square
+        comb = tx - x
+        comb *= s1
+        b *= (1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0) * s2
+        comb += b
+        rhs = _dot(comb, comb)
+        del comb
+        lb1 = _least([_dot(z - x, r) - rhs for z in zs])
+    del b
+    cut = None
+    if product is not None:  # relax(., 1.0) returns U T itself, no closure
+        image = utx if product._base is None else product._fn(x, r)
+        del r
+        cut = _cutter(zs, x, image)[0]
+    return cut, lb1, lb2
 
 
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
@@ -233,7 +283,7 @@ def relaxed_cutter_check(t: Operator, lam: float, fixed_sample,
     if not lam > 0:
         raise UsageError(f"lambda must be positive, got {lam}")
     return _fixed_point_probe("relaxed-cutter", (t,), fixed_sample, probe,
-                              _relaxed_cutter, lam)
+                              _operator_rows, lam=lam)
 
 
 def demicontraction_check(t: Operator, rho: float, fixed_sample,
@@ -242,7 +292,7 @@ def demicontraction_check(t: Operator, rho: float, fixed_sample,
     if not rho < 1:
         raise UsageError(f"demicontraction constant must be < 1, got {rho}")
     return _fixed_point_probe("demicontraction", (t,), fixed_sample, probe,
-                              _demicontraction, rho)
+                              _operator_rows, part=1, rho=rho)
 
 
 def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
@@ -251,7 +301,8 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     <z - x, UT(x) - x> >= ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2
     with s1 = sqrt(1/lam - 1/nu), s2 = sqrt(1/mu - 1/nu), sign "+" when
     max{lam, mu} >= 2 and "-" otherwise."""
-    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _lb1, pair)
+    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _product_rows,
+                              part=1, pair=pair)
 
 
 def _kept(probe, d, *images):
@@ -266,23 +317,25 @@ def _kept(probe, d, *images):
     return (d[keep], probe.samples[keep]) + (None,) * len(images)
 
 
-def _lb2(t, u, pair, probe, dist, d=None, tx=None, utx=None) -> RegularityReport:
-    """lb2 on the probe sample X: d = dist(X), T(X) and U(T(X)) as given
-    or evaluated, and where _kept drops rows evaluated on the kept batch."""
+def _lb2_coef(pair) -> float:
+    """lb2's (|alpha| / (1 + beta sqrt(nu)))^2."""
+    a_, b_ = alpha_beta(pair)
+    return (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
+
+
+def _lb2(t, u, pair, probe, dist, d=None) -> RegularityReport:
+    """lb2 on the probe sample X, d = dist(X) as given or evaluated, and
+    T(X) and U(T(X)) evaluated on the rows _kept keeps."""
     if pair.lam == pair.mu:
         return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
-    a_, b_ = alpha_beta(pair)
-    coef = (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
     d = _distance(dist, probe.samples) if d is None else d
-    d, x, tx, utx = _kept(probe, d, tx, utx)
+    d, x = _kept(probe, d)
     if not d.size:
         return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
-    if tx is None:
-        tx = _eval_batch(t, x)
-        utx = _eval_batch(u, tx)
-    biggest = np.maximum(_dist2(tx, x), _dist2(utx, tx))
-    return _report("lb2", _norms(utx - x) - coef * biggest / d, x, probe.tolerance,
-                   probe.seed)
+    tx = _eval_batch(t, x)
+    margins = _rows(_product_rows, (), (x, tx, _eval_batch(u, tx), d),
+                    coef=_lb2_coef(pair))[2]
+    return _report("lb2", margins, x, probe.tolerance, probe.seed)
 
 
 def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
@@ -331,6 +384,20 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     return _kappa_hat(probe, np.maximum(_distance(a, x), _distance(b, x)), intersection)
 
 
+def _image(op, x, cset, px, whole=True):
+    """op(x) on the probe sample x, given px = P_cset(x), the set told by
+    identity: px itself when op is P_cset; when op relaxes P_cset, relax's
+    closure on px - x, made whole or, if not whole, as a function of the
+    rows of a block that makes that block; else op evaluated."""
+    if op._set is cset:
+        return px
+    if op._base is None or op._base._set is not cset:
+        return _eval_batch(op, x)
+    if whole:
+        return op._fn(x, px - x)
+    return lambda rows: op._fn(x[rows], px[rows] - x[rows])
+
+
 def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
                     probe: ProbeConfig):
     """The sampling probes of the product method U T on the sets A, B, as
@@ -338,48 +405,69 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     probes, and, given w, a point of the intersection, the product probes
     and kappa_hat (else None).
 
-    The images of the probe sample X are evaluated here once each, P_A(X),
-    P_B(X), T(X), U(X), U(T(X)) and d(X, A n B), and handed to the margin
-    functions the public probes call on the images they evaluate: the
-    reports are the same bit for bit.  Each operator checks its membership
-    points once.  P_A(X), P_B(X) and U(X) go after their last use
-    (kappa_hat keeps ||X - P(X)|| where a set measures distance that way),
-    and T(X) and U(T(X)) before kappa_hat.
+    Each image of the probe sample X is made once: P_A(X), P_B(X), then
+    T(X) and U(X) from them where T and U relax those projections (else
+    evaluated), U(T(X)) and d(X, A n B).  The margin functions that the
+    public probes call take them on row blocks in one pass per family:
+    the projections' cutter margins (and ||x - P(x)|| for kappa_hat), each
+    operator's relaxed-cutter and demicontraction margins, and the
+    product's cutter, lb1 and lb2 margins.  The reports are the same bit
+    for bit, made in print order.  Each operator checks its membership
+    points once.  A projection goes once T(X) or U(X) is made of it, U(X)
+    after its pass, and T(X) and U(T(X)) before kappa_hat.
     """
     x = probe.samples  # x[:5] gives the single-operator membership points
     fixed_a, fixed_b = a.project(x[:5]), b.project(x[:5])
-    named, dists = [], []
-    for name, cset, fixed in (("cutter.PA", a, fixed_a), ("cutter.PB", b, fixed_b)):
+    joint = w is not None  # the product probes and kappa_hat run
+
+    def report(name, margins):
+        return _report(name, margins, x, probe.tolerance, probe.seed)
+
+    # made while X is the only sample-sized array held
+    dw = _distance(intersection, x) if joint else None
+
+    cutters, dists, images = [], [], []
+    for cset, fixed, op in ((a, fixed_a, t), (b, fixed_b, u)):
         p = projection_operator(cset)
         zs = _members((p,), fixed, probe)
         px = _eval_batch(p, x)
-        named.append((name, _sampled("cutter", probe, _cutter, zs, (x, px))))
         # a set with its own distance formula needs no projection for it
-        dists.append(cset.distance(x) if type(cset).distance is not ConvexSet.distance
-                     else _norms(x - px))
-    del px
-    tx, ux = _eval_batch(t, x), _eval_batch(u, x)
+        own = type(cset).distance is not ConvexSet.distance
+        margins, dist = _rows(_cutter, zs, (x, px), norms=joint and not own)
+        cutters.append(report("cutter", margins))
+        dists.append(cset.distance(x) if joint and own else dist)
+        # U(X) is needed only in its pass, so a derived one is made per block
+        images.append(_image(op, x, cset, px, whole=op is t))
+        del px
+    tx, ux = images
+    del images
     zs_a, zs_b = _members((t,), fixed_a, probe), _members((u,), fixed_b, probe)
-    for kind, margins, of_t, of_u in (
-            ("relaxed-cutter", _relaxed_cutter, pair.lam, pair.mu),
-            ("demicontraction", _demicontraction, demicontraction_rho(pair.lam),
-             demicontraction_rho(pair.mu))):
-        named += [(f"{kind}.T", _sampled(kind, probe, margins, zs_a, (x, tx), of_t)),
-                  (f"{kind}.U", _sampled(kind, probe, margins, zs_b, (x, ux), of_u))]
+    rc_t, dc_t, aa = _rows(_operator_rows, zs_a, (x, tx), lam=pair.lam,
+                           rho=demicontraction_rho(pair.lam))
+    rc_u, dc_u, _ = _rows(_operator_rows, zs_b, (x, ux), lam=pair.mu,
+                          rho=demicontraction_rho(pair.mu))
     del ux
-    if w is None:
+    named = [("cutter.PA", cutters[0]), ("cutter.PB", cutters[1]),
+             ("relaxed-cutter.T", report("relaxed-cutter", rc_t)),
+             ("relaxed-cutter.U", report("relaxed-cutter", rc_u)),
+             ("demicontraction.T", report("demicontraction", dc_t)),
+             ("demicontraction.U", report("demicontraction", dc_u))]
+    del margins, rc_t, dc_t, rc_u, dc_u
+    if not joint:
         return named, None
-    dw = _distance(intersection, x)
     utx = _eval_batch(u, tx)
-    c = np.array(1.0 / nu(pair))  # relax's factor of (UT)_{1/nu}
-    zs = _members((relax(compose(u, t), c),), [w], probe)
-    named += [
-        ("product.cutter", _sampled("cutter", probe, _product_cutter, zs, (x, utx), c)),
-        ("lb1", _sampled("lb1", probe, _lb1, _members((t, u), [w], probe),
-                         (x, tx, utx), pair)),
-        ("lb2", _lb2(t, u, pair, probe, intersection, dw, tx, utx)),
-    ]
+    product = relax(compose(u, t), 1.0 / nu(pair))  # (UT)_{1/nu}
+    zs = _members((product,), [w], probe)
+    _members((t, u), [w], probe)  # lb1's, the same point
+    # lb2 joins the pass when _kept keeps every row; else it evaluates T and
+    # U on the rows it keeps, or SKIPs at lam == mu
+    in_pass = pair.lam != pair.mu and not np.any(dw <= probe.tolerance)
+    cut, lb1, lb2 = _rows(_product_rows, zs, (x, tx, utx, dw, aa), product=product,
+                          pair=pair, coef=_lb2_coef(pair) if in_pass else None)
     del tx, utx  # T(X) and U(T(X)) go before kappa_hat
+    named += [("product.cutter", report("cutter", cut)), ("lb1", report("lb1", lb1)),
+              ("lb2", report("lb2", lb2) if in_pass
+               else _lb2(t, u, pair, probe, intersection, dw))]
     return named, _kappa_hat(probe, np.maximum(*dists), intersection, dw)
 
 

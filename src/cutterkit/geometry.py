@@ -77,15 +77,14 @@ def _row_dots(a, b):
 
 
 def _norms(r):
-    """||r|| per row, the pairwise sum's bits; a float for a (d,) row.  No
-    row's square exceeds r . r, so below 1e300 none can overflow."""
+    """||r|| per row, the pairwise sum's bits; a float for a (d,) row.  A
+    batch is squared and summed on row blocks, where a square that
+    overflows reads inf, unwarned, and takes the range rule."""
     if r.ndim == 1:
         # np.vdot does not warn; in (1e-300, 1e300) both squares are normal
         if 1e-300 < np.vdot(r, r) < 1e300:
             return math.sqrt(np.add.reduce(r * r))
         return float(_norms(r[None])[0])
-    if r.nbytes <= _ROW_BLOCK and np.vdot(r, r) < 1e300:  # one block, no overflow
-        return _roots(np.add.reduce(r * r, axis=-1), r)
     sq = np.empty(r.shape[:-1])
     with np.errstate(over="ignore"):
         for rows in _row_blocks(r):
@@ -141,8 +140,12 @@ class ConvexSet:
         return self._project(self._coerce(x))
 
     def distance(self, x):
+        """||x - P(x)||; ||x - point|| for a set of a known single point, its
+        projection exactly (an affine set's anchor plus exact zeros), the
+        difference in C order as x - P(x) is, so the rows sum alike."""
         x = self._coerce(x)
-        n = _norms(x - self._project(x))
+        p = self.point
+        n = _norms(x - self._project(x) if p is None else np.subtract(x, p, order="C"))
         return np.float64(n) if x.ndim == 1 else n
 
     def _coerce(self, x) -> np.ndarray:
@@ -215,13 +218,8 @@ class AffineSubspace(ConvexSet):
     def __init__(self, anchor, basis=()):
         self.anchor = _frozen(as_point(anchor))
         self.dim = self.anchor.size
-        rows, vvs = [], []
-        for i, v in enumerate(basis):
-            v = as_point(v, self.dim)
-            # the dependence test below scales by sqrt(v . v)
-            vvs.append(_square(v, f"affine basis vector {i}: v . v", "; rescale it"))
-            rows.append(v)
-        rows = np.array(rows).reshape(len(rows), self.dim)
+        # the dependence test below scales by sqrt(v . v)
+        rows, vvs = _basis_rows(basis, self.dim)
         vecs = []
         for i, v in enumerate(rows):  # the first pass is done; the second:
             for q in vecs:
@@ -247,6 +245,30 @@ class AffineSubspace(ConvexSet):
     def __repr__(self):
         return (f"AffineSubspace(anchor={self.anchor.tolist()}, "
                 f"rank={self.basis.shape[0]})")
+
+
+def _basis_rows(basis, dim):
+    """The basis vectors as (k, dim) float64 rows in C order, a copy, and
+    each one's v . v (_row_dots: the ddot bits of np.vdot), checked as one
+    array: each row finite and each square a normal float.  When a check
+    fails, the vectors are checked one by one, each as a point and then
+    its square, so the first bad vector raises its own error, naming it."""
+    vectors = basis if isinstance(basis, np.ndarray) else list(basis)
+    try:
+        rows = np.array(vectors, dtype=float, order="C")
+    except (TypeError, ValueError):  # ragged, or not numbers
+        rows = None
+    if rows is not None and not len(rows):
+        return np.zeros((0, dim)), np.zeros(0)
+    if rows is not None and rows.shape[1:] == (dim,) and np.isfinite(rows).all():
+        vvs = _row_dots(rows, rows)
+        if sys.float_info.min <= vvs.min() and vvs.max() < math.inf:
+            return rows, vvs
+    rows, vvs = [], []
+    for i, v in enumerate(vectors):
+        rows.append(as_point(v, dim))
+        vvs.append(_square(rows[-1], f"affine basis vector {i}: v . v", "; rescale it"))
+    return np.array(rows), np.array(vvs)
 
 
 class Ball(ConvexSet):

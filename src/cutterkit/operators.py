@@ -25,14 +25,20 @@ class Operator:
 
     dim is optional; a call checks its input against it, and compose
     against the other's.  The probes take the fixed set as an argument.
+
+    What an operator is made of is recorded, so that the probe battery can
+    make its image of a batch from a projection of that batch it already
+    holds: _set, the set C of projection_operator(C), and _base, the
+    operator T of relax(T, lam), whose closure takes T(x) - x when given.
     """
 
-    __slots__ = ("_fn", "label", "dim")
+    __slots__ = ("_fn", "label", "dim", "_set", "_base")
 
     def __init__(self, fn, label: str = "operator", dim=None):
         self._fn = fn
         self.label = label
         self.dim = dim
+        self._set = self._base = None
 
     def __call__(self, x):
         return self._fn(_checked(x, self.dim, self))
@@ -53,27 +59,38 @@ def identity(dim=None) -> Operator:
 
 def projection_operator(cset: ConvexSet) -> Operator:
     """Metric projection onto a closed convex set; Fix P_C = C."""
-    return _Own(cset._project, f"P[{type(cset).__name__}]", cset.dim)
+    p = _Own(cset._project, f"P[{type(cset).__name__}]", cset.dim)
+    p._set = cset
+    return p
 
 
 def relax(t: Operator, lam: float) -> Operator:
-    """lam-relaxation x + lam (T(x) - x), 0 <= lam < inf; Fix T kept for lam > 0."""
+    """lam-relaxation x + lam (T(x) - x), 0 <= lam < inf; Fix T kept for lam > 0.
+
+    For lam other than 0 and 1 the map is one closure, fn(x, step=None),
+    which takes step = T(x) - x when its caller holds T(x): the probe
+    battery makes relaxed images by this arithmetic and no other.
+    """
     lam = float(lam)
     if not 0 <= lam < np.inf:
         raise UsageError(f"relaxation parameter must be >= 0 and finite, got {lam}")
     kind = _Own if isinstance(t, _Own) else Operator
     if lam == 1.0:
-        return kind(t._fn, t.label, t.dim)
+        same = kind(t._fn, t.label, t.dim)
+        same._set, same._base = t._set, t._base
+        return same
     if lam == 0.0:
         return identity(t.dim)
     label = f"({t.label})_{lam:g}"
     lam = np.array(lam)  # a 0-d array multiplies faster than a float, same bits
     f = t._fn
 
-    def fn(x):
-        return x + lam * (f(x) - x)
+    def fn(x, step=None):
+        return x + lam * (f(x) - x if step is None else step)
 
-    return kind(fn, label, t.dim)
+    relaxed = kind(fn, label, t.dim)
+    relaxed._base = t
+    return relaxed
 
 
 def compose(u: Operator, t: Operator) -> Operator:

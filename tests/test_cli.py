@@ -792,6 +792,8 @@ BAD_CONFIGS = {
                   "alpha must be a finite number or a non-empty list of them, got nan"),
     "list-outputs": (lambda doc: dict(doc, outputs=[]), 2,
                      "config error: outputs must be an object"),
+    "numeric-probes-path": (lambda doc: dict(doc, outputs=dict(doc["outputs"], probes=3)),
+                            2, "config error: outputs: probes must be a path, got 3"),
     "flat-affine-basis": (lambda doc: dict(doc, problem={"sets": [
         {"type": "affine", "anchor": [0, 0], "basis": [1, 0]},
         doc["problem"]["sets"][1]]}), 2,
@@ -908,7 +910,7 @@ FIELDS = [
     ("methods", 2, "driver"), ("methods", 2, "lambda"), ("methods", 2, "mu"),
     ("methods", 2, "alpha"), ("methods", 2, "epsilon"), ("methods", 2, "T"),
     ("methods", 2, "U"), ("outputs",), ("outputs", "csv"), ("outputs", "svg"),
-    ("outputs", "report"), ("probe",), ("probe", "radius"),
+    ("outputs", "report"), ("outputs", "probes"), ("probe",), ("probe", "radius"),
     ("probe", "samples"),
 ]
 # Only small numbers, so that no draw asks for a long run; keys the
@@ -937,7 +939,8 @@ def test_any_field_value_ends_in_a_documented_exit_code(tmp_path, path, value):
     doc = write_config(tmp_path / "base.json", probe={"samples": 200},
                        outputs={"csv": os.path.join(work, "out"),
                                 "svg": os.path.join(work, "svg"),
-                                "report": os.path.join(work, "report.txt")})
+                                "report": os.path.join(work, "report.txt"),
+                                "probes": os.path.join(work, "probes.txt")})
     _set_field(doc, path, value)
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
@@ -958,7 +961,7 @@ def test_any_field_value_ends_in_a_documented_exit_code(tmp_path, path, value):
 def test_verify_paper_problem_all_probes_pass(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, outputs={"csv": str(tmp_path / "out"),
-                               "report": str(tmp_path / "out/probes.txt")})
+                               "probes": str(tmp_path / "out/probes.txt")})
     assert main(["verify", str(cfg)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     probe_lines = [ln for ln in lines if ln.startswith("PROBE")]
@@ -968,6 +971,36 @@ def test_verify_paper_problem_all_probes_pass(tmp_path, capsys):
     report = (tmp_path / "out/probes.txt").read_text()
     assert "PROBE new.lb1 PASS" in report
     assert "PROBE new.rate PASS" in report
+
+
+def test_run_and_verify_on_one_config_keep_both_reports(tmp_path, capsys):
+    # run writes outputs.report and verify outputs.probes: neither replaces
+    # the other's file, in either order
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, outputs={"csv": str(out), "report": str(out / "report.txt"),
+                               "probes": str(out / "probes.txt")})
+    assert main(["run", str(cfg)]) == 0
+    assert main(["verify", str(cfg)]) == 0
+    run_lines = capsys.readouterr().out.splitlines()
+    report = (out / "report.txt").read_text()
+    assert report.startswith(f"config: {cfg}\nseed: 11\nmethod map: steps=30 ")
+    assert report.splitlines() == run_lines[:5]
+    probes = (out / "probes.txt").read_text().splitlines()
+    assert probes == run_lines[5:] and len(probes) == 16
+    assert all(line.startswith("PROBE ") for line in probes)
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "probes.txt").read_text().splitlines() == probes
+    assert (out / "report.txt").read_text() == report
+
+
+def test_verify_without_a_probes_path_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, outputs={"csv": str(out), "report": str(out / "report.txt")})
+    assert main(["verify", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("PROBE map.fejer PASS")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, tol", [([], 1e-9), (["--tol", "1e-7"], 1e-7)])

@@ -14,7 +14,7 @@ from cutterkit import (AffineSubspace, Box, EstimationError, Hyperplane,
                        projection_operator, rate_certificate,
                        regularity_modulus_estimate, relax,
                        relaxed_cutter_check, run_dr, run_map, sample_ball)
-from cutterkit import diagnostics
+from cutterkit import configio, diagnostics
 from cutterkit.theory import demicontraction_rho, nu, split_roots
 
 U_PI6 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
@@ -434,27 +434,59 @@ def _affine_pair(d, seed):
 BOX_PAIR = (Box([-1, -1, -1], [1, 1, 1]), Box([0, -2, -0.5], [2, 2, 0.5]))
 
 
-@pytest.mark.parametrize("sets, inter, lam_t, mu_u, pair, n", [
+def _nested_affine_pair(d, seed):
+    """A plane inside a 4-dimensional flat: P_B fixes every point of A."""
+    rng = np.random.default_rng(seed)
+    p, basis = rng.standard_normal(d), rng.standard_normal((4, d))
+    return AffineSubspace(p, basis[:2]), AffineSubspace(p, basis)
+
+
+def _one_point_affine_pair(d, seed):
+    """Two (d/2)-dimensional flats in R^d through one point p, and {p}."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(d)
+    return ((AffineSubspace(p, rng.standard_normal((d // 2, d))),
+             AffineSubspace(p, rng.standard_normal((d // 2, d)))), AffineSubspace(p))
+
+
+# T from a config spec: relax(P_B) fixes A's points only when A lies in B
+T_OF_PB = {"op": "relax", "lambda": 1.4, "of": {"op": "projection", "set": 1}}
+T_OVER_PA = {"op": "relax", "lambda": 3.3, "of": {"op": "projection", "set": 0}}
+
+
+@pytest.mark.parametrize("sets, inter, lam_t, mu_u, pair, n, t_spec", [
     # a mislabelled T or U gives margins of both signs; "+" in lb1 when
     # max{lam, mu} >= 2, else "-"
-    (_affine_pair(40, 1), None, 1.7, 2.7, RelaxationPair(1.3, 2.7), 700),
-    (_affine_pair(9, 2), None, 0.6, 1.9, RelaxationPair(0.6, 1.5), 500),
+    (_affine_pair(40, 1), None, 1.7, 2.7, RelaxationPair(1.3, 2.7), 700, None),
+    (_affine_pair(9, 2), None, 0.6, 1.9, RelaxationPair(0.6, 1.5), 500, None),
     # 1700 rows of d = 40 run as 3 row blocks of at most 256 KiB (819,
     # 819 and 62 rows)
-    (_affine_pair(40, 4), None, 1.4, 2.5, RelaxationPair(1.4, 2.5), 1700),
+    (_affine_pair(40, 4), None, 1.4, 2.5, RelaxationPair(1.4, 2.5), 1700, None),
     # some samples lie in the intersection: lb2 and kappa_hat keep rows
     (BOX_PAIR, Box([0, -1, -0.5], [1, 1, 0.5]), 2.5, 1.2,
-     RelaxationPair(2.5, 1.2), 300),
+     RelaxationPair(2.5, 1.2), 300, None),
     # nu is exactly 1.0: relax(., 1.0) returns U T itself, and
     # x + 1.0 * (U(T(x)) - x) differs from U(T(x)) in 249 of the 500 rows
-    (_affine_pair(9, 2), None, 0.5, 0.8, RelaxationPair(0.5, 0.8), 500),
+    (_affine_pair(9, 2), None, 0.5, 0.8, RelaxationPair(0.5, 0.8), 500, None),
+    # lam = 1: T is P_A itself, and T(X) is P_A(X)
+    (_affine_pair(12, 6), None, 1.0, 2.6, RelaxationPair(1.0, 2.6), 600, None),
+    # T relaxes P_B, of the same label as P_A: evaluated, not made of P_A(X)
+    (_nested_affine_pair(10, 7), None, 1.4, 2.5, RelaxationPair(1.4, 2.5), 400,
+     T_OF_PB),
+    # an explicit T relaxed by 3.3, declared 3, on the paper's lines
+    ((LINE_A, LINE_B), None, 3.3, 1.0, RelaxationPair(3.0, 1.0), 500, T_OVER_PA),
+    # A n B = {p} given: d(X, {p}) is ||x - p||
+    (*_one_point_affine_pair(16, 8), 1.6, 2.2, RelaxationPair(1.6, 2.2), 800, None),
 ], ids=["affine-d40-plus", "affine-d9-minus", "affine-d40-blocks",
-        "boxes-kept-rows", "affine-d9-nu-one"])
+        "boxes-kept-rows", "affine-d9-nu-one", "affine-d12-t-lambda-one",
+        "nested-affine-t-relaxes-pb", "lines-t-spec-mislabelled",
+        "affine-d16-one-point"])
 def test_battery_margins_keep_the_bits_of_the_plain_expressions(
-        monkeypatch, sets, inter, lam_t, mu_u, pair, n):
+        monkeypatch, sets, inter, lam_t, mu_u, pair, n, t_spec):
     a, b = sets
     inter = inter if inter is not None else intersect_affine(a, b)
-    t = relax(projection_operator(a), lam_t)
+    t = (relax(projection_operator(a), lam_t) if t_spec is None
+         else configio.operator_from_dict(t_spec, sets))
     u = relax(projection_operator(b), mu_u)
     w = inter.project(np.zeros(a.dim))
     probe = ProbeConfig(center=w, radius=2.0, sample_count=n, seed=5)

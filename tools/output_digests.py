@@ -7,8 +7,11 @@ SEED, runs every sweep, verify and run-io task once in this process, and
 prints one line per task: its name and a digest of what it gave.  A
 sweep task's digest covers the trace's iterates, residuals, step sizes
 and solution errors; a CLI task's covers the exit code, stdout, stderr,
-the class and text of each warning and every file it wrote.  Two more
-lines digest `example-paper` at --iters 30 and 1500.
+the class and text of each warning and every file it wrote.  A verify
+task's digest also covers the bytes of every margin array handed to
+`diagnostics._report`, in call order, so that it sees the last bits that
+the 6-digit `PROBE` lines round away.  Two more lines digest
+`example-paper` at --iters 30 and 1500.
 
 Two source trees give the same lines exactly when their outputs are the
 same byte for byte.  Run both with the same WORKDIR, one after the
@@ -25,7 +28,7 @@ import os
 import shutil
 import sys
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # one BLAS thread, as in the benchmark: a sum's order must not depend on
@@ -42,9 +45,10 @@ def _hash(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _cli(cli, argv, out_dir=None) -> str:
+def _cli(cli, argv, out_dir=None, margins=()) -> str:
     """Digest of one cli.main call and, given out_dir, the files in it
-    (names and bytes, as the benchmark's run-io check digests them)."""
+    (names and bytes, as the benchmark's run-io check digests them); the
+    list margins, filled during the call, joins the digest."""
     import workloads
 
     out, err = io.StringIO(), io.StringIO()
@@ -57,7 +61,26 @@ def _cli(cli, argv, out_dir=None) -> str:
     files = workloads._digest(out_dir) if out_dir and os.path.isdir(out_dir) else ""
     if out_dir:
         shutil.rmtree(out_dir, ignore_errors=True)
-    return _hash(code, out.getvalue(), err.getvalue(), *shown, files)
+    return _hash(code, out.getvalue(), err.getvalue(), *shown, files, *margins)
+
+
+@contextmanager
+def _margin_bytes(diagnostics):
+    """A list that gathers the bytes of each margin array diagnostics._report
+    is given, while the block runs."""
+    import numpy as np
+
+    kept, report = [], diagnostics._report
+
+    def keeping(name, margins, *args, **kwargs):
+        kept.append(np.asarray(margins, dtype=float).tobytes())
+        return report(name, margins, *args, **kwargs)
+
+    diagnostics._report = keeping
+    try:
+        yield kept
+    finally:
+        diagnostics._report = report
 
 
 def _trace(trace) -> str:
@@ -76,7 +99,9 @@ def digests(seed: int, workdir: str):
         yield f"sweep{i}.{task['fn']}", _trace(sweep.run(task))
     verify = workloads.Verify(cutterkit, seed, workdir)
     for task in verify.tasks:
-        yield f"verify.{task['name']}", _cli(cli, ["verify", task["path"]])
+        with _margin_bytes(cutterkit.diagnostics) as margins:
+            digest = _cli(cli, ["verify", task["path"]], margins=margins)
+        yield f"verify.{task['name']}", digest
     run_io = workloads.RunIo(cutterkit, seed, workdir)
     for task in run_io.tasks:
         yield f"run-io.{task['name']}", _cli(cli, ["run", task["path"]],
