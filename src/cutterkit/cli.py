@@ -161,9 +161,16 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     cfg = _load(config_path, seed, iters)
     if tol is not None and not tol > 0:  # checked before anything is written
         raise UsageError(f"--tol must be positive, got {tol}")
-    csv_dir = cfg.outputs.get("csv", "out")
-    named = _run_methods(cfg, tol if tol is not None else 1e-300, csv_dir,
-                         cfg.outputs.get("svg"))
+    csv_dir, svg_dir = cfg.outputs.get("csv", "out"), cfg.outputs.get("svg")
+    report = cfg.outputs.get("report", os.path.join(csv_dir, "report.txt"))
+    written = [os.path.join(csv_dir, f"{m.name}.csv") for m in cfg.methods]
+    if svg_dir:
+        written += [os.path.join(svg_dir, "trajectories.svg"),
+                    os.path.join(svg_dir, "errors.svg")]
+    for path in written:  # checked before anything is written
+        if os.path.abspath(path) == os.path.abspath(report):
+            raise UsageError(f"outputs.report {report} is also the run's output {path}")
+    named = _run_methods(cfg, tol if tol is not None else 1e-300, csv_dir, svg_dir)
     report_lines = [f"config: {config_path}", f"seed: {cfg.seed}"]
     for name, trace in named:
         last = trace.solution_errors[-1] if trace.solution_errors else float("nan")
@@ -171,8 +178,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
             f"method {name}: steps={trace.n_steps} "
             f"final_residual={trace.final_residual:.17g} final_error={last:.17g}"
         )
-    _output(report_lines,
-            cfg.outputs.get("report", os.path.join(csv_dir, "report.txt")))
+    _output(report_lines, report)
     return EXIT_OK
 
 

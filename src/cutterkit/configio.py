@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Trace
+from .engine import Trace, _count
 from .errors import ConfigError, UsageError
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
                        Hyperplane, _checked, _row_blocks, as_point)
@@ -143,16 +143,11 @@ def _float(value) -> float:
     return float(_numeric(value))
 
 
-def _integer(value) -> int:
-    """int(value) for an integral number: 3 and 3.0 pass, 3.7 does not."""
-    value = _numeric(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not integral")
-    return int(value)
-
-
 def _vector(value) -> np.ndarray:
     return np.asarray(_numeric(value), dtype=float)
+
+
+_integer = functools.partial(_count, least=-math.inf)  # engine's rule, any sign
 
 
 _KINDS = {_float: "a number", _integer: "an integer"}

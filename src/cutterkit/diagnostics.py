@@ -231,45 +231,35 @@ def _operator_rows(zs, x, tx, lam=None, rho=None):
     return _least(rc), _least(dc), aa
 
 
-def _product_rows(zs, x, tx, utx, d=None, aa=None, *, product=None, pair=None,
-                  coef=None):
-    """At rows x, tx = T(x) and utx = U(T(x)), each part asked for:
+def _product_cutter(zs, x, utx, product):
+    """At rows x and utx = U(T(x)): the cutter margins of product =
+    relax(U T, c), least over z, its image made by relax's closure on
+    U(T(x)) - x (at c = 1 relax returns U T itself, image U(T(x)))."""
+    return _cutter(zs, x, utx if product._base is None else product._fn(x, utx - x))
 
-    - given product = relax(U T, c), its cutter margins, its image made by
-      relax's closure (at c = 1 relax returns U T itself, image U(T(x)));
-    - given the pair, lb1's margins
-      <z - x, UT(x) - x> - ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2;
-    - given coef, lb2's margins ||UT(x) - x|| - coef max{||T(x) - x||^2,
-      ||UT(x) - T(x)||^2} / d, d = d(x, Fix T n Fix U) and aa the first
-      square when known.
 
-    U(T(x)) - x and U(T(x)) - T(x) are made once for the three, and the
-    parts are taken in the order that holds the fewest blocks at a time.
-    """
-    r = utx - x
+def _lb1(zs, x, tx, utx, pair):
+    """At rows x, tx = T(x) and utx = U(T(x)): lb1's margins
+    <z - x, UT(x) - x> - ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2, least over z."""
+    s1, s2 = split_roots(pair)
+    comb = tx - x  # built in place
+    comb *= s1
     b = utx - tx
-    lb2 = None
-    if coef is not None:
-        aa = _dist2(tx, x) if aa is None else aa
-        lb2 = _norms(r) - coef * np.maximum(aa, _dot(b, b)) / d
-    lb1 = None
-    if pair is not None:
-        s1, s2 = split_roots(pair)
-        # comb is built in place, and b scaled in place after lb2's square
-        comb = tx - x
-        comb *= s1
-        b *= (1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0) * s2
-        comb += b
-        rhs = _dot(comb, comb)
-        del comb
-        lb1 = _least([_dot(z - x, r) - rhs for z in zs])
+    b *= (1.0 if max(pair.lam, pair.mu) >= 2.0 else -1.0) * s2
+    comb += b
     del b
-    cut = None
-    if product is not None:  # relax(., 1.0) returns U T itself, no closure
-        image = utx if product._base is None else product._fn(x, r)
-        del r
-        cut = _cutter(zs, x, image)[0]
-    return cut, lb1, lb2
+    rhs = _dot(comb, comb)
+    del comb
+    r = utx - x
+    return (_least([_dot(z - x, r) - rhs for z in zs]),)
+
+
+def _lb2_rows(zs, x, tx, utx, d, aa=None, *, coef):
+    """At rows x, tx = T(x) and utx = U(T(x)): lb2's margins
+    ||UT(x) - x|| - coef max{||T(x) - x||^2, ||UT(x) - T(x)||^2} / d,
+    d = d(x, Fix T n Fix U) and aa the first square when known."""
+    aa = _dist2(tx, x) if aa is None else aa
+    return (_norms(utx - x) - coef * np.maximum(aa, _dist2(utx, tx)) / d,)
 
 
 def cutter_check(t: Operator, fixed_sample, probe: ProbeConfig) -> RegularityReport:
@@ -301,8 +291,7 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     <z - x, UT(x) - x> >= ||s1 (T(x)-x) +/- s2 (UT(x)-T(x))||^2
     with s1 = sqrt(1/lam - 1/nu), s2 = sqrt(1/mu - 1/nu), sign "+" when
     max{lam, mu} >= 2 and "-" otherwise."""
-    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _product_rows,
-                              part=1, pair=pair)
+    return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _lb1, pair=pair)
 
 
 def _kept(probe, d, *images):
@@ -323,18 +312,21 @@ def _lb2_coef(pair) -> float:
     return (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
 
 
-def _lb2(t, u, pair, probe, dist, d=None) -> RegularityReport:
-    """lb2 on the probe sample X, d = dist(X) as given or evaluated, and
-    T(X) and U(T(X)) evaluated on the rows _kept keeps."""
+def _lb2(t, u, pair, probe, dist, d=None, tx=None, utx=None,
+         aa=None) -> RegularityReport:
+    """lb2 on the rows of the probe sample X that _kept keeps, d = dist(X)
+    as given or evaluated; T(X), U(T(X)) and aa = ||T(X) - X||^2 as given
+    when every row is kept, else evaluated on the kept rows."""
     if pair.lam == pair.mu:
         return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
     d = _distance(dist, probe.samples) if d is None else d
-    d, x = _kept(probe, d)
+    d, x, tx, utx, aa = _kept(probe, d, tx, utx, aa)
     if not d.size:
         return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
-    tx = _eval_batch(t, x)
-    margins = _rows(_product_rows, (), (x, tx, _eval_batch(u, tx), d),
-                    coef=_lb2_coef(pair))[2]
+    tx = _eval_batch(t, x) if tx is None else tx
+    utx = _eval_batch(u, tx) if utx is None else utx
+    images = (x, tx, utx, d) if aa is None else (x, tx, utx, d, aa)
+    margins = _rows(_lb2_rows, (), images, coef=_lb2_coef(pair))[0]
     return _report("lb2", margins, x, probe.tolerance, probe.seed)
 
 
@@ -408,13 +400,13 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     Each image of the probe sample X is made once: P_A(X), P_B(X), then
     T(X) and U(X) from them where T and U relax those projections (else
     evaluated), U(T(X)) and d(X, A n B).  The margin functions that the
-    public probes call take them on row blocks in one pass per family:
-    the projections' cutter margins (and ||x - P(x)|| for kappa_hat), each
-    operator's relaxed-cutter and demicontraction margins, and the
-    product's cutter, lb1 and lb2 margins.  The reports are the same bit
-    for bit, made in print order.  Each operator checks its membership
-    points once.  A projection goes once T(X) or U(X) is made of it, U(X)
-    after its pass, and T(X) and U(T(X)) before kappa_hat.
+    public probes call take them on row blocks: one pass per projection
+    for its cutter margins (and ||x - P(x)|| for kappa_hat), one per
+    operator for its relaxed-cutter and demicontraction margins, and one
+    per product inequality, lb2's through _lb2 as lb2_check.  The reports
+    are the same bit for bit, made in print order.  Each operator checks
+    its membership points once.  A projection goes once T(X) or U(X) is
+    made of it, U(X) after its pass, T(X) and U(T(X)) before kappa_hat.
     """
     x = probe.samples  # x[:5] gives the single-operator membership points
     fixed_a, fixed_b = a.project(x[:5]), b.project(x[:5])
@@ -459,15 +451,12 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     product = relax(compose(u, t), 1.0 / nu(pair))  # (UT)_{1/nu}
     zs = _members((product,), [w], probe)
     _members((t, u), [w], probe)  # lb1's, the same point
-    # lb2 joins the pass when _kept keeps every row; else it evaluates T and
-    # U on the rows it keeps, or SKIPs at lam == mu
-    in_pass = pair.lam != pair.mu and not np.any(dw <= probe.tolerance)
-    cut, lb1, lb2 = _rows(_product_rows, zs, (x, tx, utx, dw, aa), product=product,
-                          pair=pair, coef=_lb2_coef(pair) if in_pass else None)
+    cut = report("cutter", _rows(_product_cutter, zs, (x, utx), product=product)[0])
+    lb1 = report("lb1", _rows(_lb1, zs, (x, tx, utx), pair=pair)[0])
+    tx, utx, aa = _kept(probe, dw, tx, utx, aa)[2:]  # gone where _lb2 cuts rows
+    named += [("product.cutter", cut), ("lb1", lb1),
+              ("lb2", _lb2(t, u, pair, probe, intersection, dw, tx, utx, aa))]
     del tx, utx  # T(X) and U(T(X)) go before kappa_hat
-    named += [("product.cutter", report("cutter", cut)), ("lb1", report("lb1", lb1)),
-              ("lb2", report("lb2", lb2) if in_pass
-               else _lb2(t, u, pair, probe, intersection, dw))]
     return named, _kappa_hat(probe, np.maximum(*dists), intersection, dw)
 
 

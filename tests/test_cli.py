@@ -806,6 +806,32 @@ BAD_CONFIGS = {
 }
 
 
+def _with(path, value):
+    """An edit of the default config: value at path."""
+    def edit(doc):
+        _set_field(doc, path, value)
+        return doc
+    return edit
+
+
+INTEGER_FIELDS = {  # id: (path, the value at path that holds v, the field named)
+    "iterations": (("iterations",), lambda v: v, "config: iterations"),
+    "seed": (("seed",), lambda v: v, "config: seed"),
+    "probe-samples": (("probe",), lambda v: {"samples": v}, "probe: samples"),
+    "T-set": (("methods", 2, "T"),
+              lambda v: dict(RELAX_T, of={"op": "projection", "set": v}),
+              "operator spec 'projection': set"),
+}
+NOT_INTEGERS = {"fraction": 3.5, "numeric-string": "3", "bool": True,
+                "overflow": 1e400, "list": [3]}
+# the config files' rule for integers, one message at every integer field
+BAD_CONFIGS.update({
+    f"{vid}-{fid}": (_with(path, holding(v)), 2,
+                     f"config error: {field} must be an integer, got {v!r}")
+    for fid, (path, holding, field) in INTEGER_FIELDS.items()
+    for vid, v in NOT_INTEGERS.items()})
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("edit, code, message", BAD_CONFIGS.values(),
                          ids=BAD_CONFIGS.keys())
@@ -816,6 +842,42 @@ def test_bad_config_exits_with_its_code_before_writing(tmp_path, capsys, command
     cfg.write_text(json.dumps(edit(doc)))
     assert main([command, str(cfg)]) == code
     assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("outputs, clash", [
+    ({"csv": "out", "report": "out/map.csv"}, "out/map.csv"),
+    ({"csv": "out", "svg": "plots", "report": "plots/../plots/errors.svg"},
+     "plots/errors.svg"),
+], ids=["method-csv", "error-plot"])
+def test_run_refuses_a_report_path_that_is_another_of_its_outputs(
+        tmp_path, capsys, monkeypatch, outputs, clash):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, outputs=outputs, methods=[{"name": "map", "driver": "map"},
+                                                {"name": "dr", "driver": "dr"}])
+    assert main(["run", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"validation error: outputs.report {outputs['report']} "
+                   f"is also the run's output {clash}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_verify_with_every_sample_inside_the_intersection_exits_4(tmp_path, capsys):
+    # kappa_hat's EstimationError ends verify through cli.main's last branch
+    def box(lo, hi):
+        return {"type": "box", "lo": [lo, lo], "hi": [hi, hi]}
+
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"sets": [box(-5, 5), box(-4, 6)],
+                               "intersection": box(-4, 5)},
+                 x0=[0.1, 0.2], probe={"radius": 1.0, "samples": 100},
+                 methods=[{"name": "p", "driver": "product", "lambda": 1.5,
+                           "mu": 2.5, "alpha": 1.0, "epsilon": 0.5}])
+    assert main(["verify", str(cfg)]) == 4
+    assert capsys.readouterr() == ("", "error: all samples are degenerate "
+                                       "(max distance ~ 0)\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ def test_cutter_check_rejects_bad_fixed_sample():
         cutter_check(projection_operator(LINE_A), [[0.0, 1.0]], PROBE)
 
 
+def test_cutter_check_rejects_an_empty_fixed_sample():
+    with pytest.raises(UsageError,
+                       match="^fixed_sample must contain at least one point$"):
+        cutter_check(projection_operator(LINE_A), [], PROBE)
+
+
 def test_single_point_operator_is_rejected_by_name():
     # float() takes one point only, so the operator breaks the batch
     # contract the probes evaluate it under
@@ -255,6 +262,12 @@ def test_relaxed_cutter_check_mislabeled_lambda_fails():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_relaxed_cutter_check_rejects_a_lambda_not_positive(lam):
+    with pytest.raises(UsageError, match=f"^lambda must be positive, got {lam}$"):
+        relaxed_cutter_check(projection_operator(LINE_A), lam, [ORIGIN], PROBE)
+
+
 def test_demicontraction_check_values():
     pa = projection_operator(LINE_A)
     assert demicontraction_check(pa, -1.0, [ORIGIN], PROBE).passed
@@ -329,6 +342,17 @@ def test_lb2_vacuous_when_lambda_equals_mu():
                     PROBE)
     assert rep.skipped and rep.passed
     assert "SKIP" in rep.line()
+
+
+def test_lb2_skips_when_every_sample_lies_in_the_intersection():
+    # the unit ball about (0.1, 0.2) lies inside [-4, 5]^2 = A n B
+    a, b = Box([-5.0, -5.0], [5.0, 5.0]), Box([-4.0, -4.0], [6.0, 6.0])
+    probe = ProbeConfig(center=[0.1, 0.2], radius=1.0, sample_count=100, seed=0)
+    t, u = relax(projection_operator(a), 1.5), relax(projection_operator(b), 2.5)
+    rep = lb2_check(t, u, RelaxationPair(1.5, 2.5), Box([-4.0, -4.0], [5.0, 5.0]),
+                    probe)
+    assert rep.skipped and rep.passed and rep.samples == 0
+    assert rep.note == "all samples degenerate"
 
 
 @pytest.mark.parametrize("nan_rows, bad", [
@@ -521,6 +545,33 @@ def _caching(op):
         return cache[key]
 
     return Operator(fn, "cached", op.dim), cache
+
+
+def test_battery_drops_its_images_before_lb2_evaluates_the_kept_rows():
+    # boxes in R^50 whose intersection holds 266 of the 2000 samples: lb2
+    # evaluates T and U on the other rows, after the battery has let go of
+    # its whole T(X) and U(T(X)); holding them too would peak at 5.4
+    d, n = 50, 2000
+    a, b = Box(-np.ones(d), np.ones(d)), Box(-0.5 * np.ones(d), 2.0 * np.ones(d))
+    inter = Box(-0.5 * np.ones(d), np.ones(d))
+    t, u = relax(projection_operator(a), 1.5), relax(projection_operator(b), 2.5)
+    pair, w = RelaxationPair(1.5, 2.5), np.zeros(d)
+
+    def peak():
+        probe = ProbeConfig(center=w, radius=2.0, sample_count=n, seed=3)
+        probe.samples  # drawn before the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            named, _ = diagnostics._product_probes(a, b, t, u, pair, w, inter, probe)
+            return tracemalloc.get_traced_memory()[1] - start, named
+        finally:
+            tracemalloc.stop()
+
+    peak()  # lazy imports and caches
+    used, named = peak()
+    assert named[-1][1].samples == 1734
+    assert used <= 4.0 * n * d * 8
 
 
 def test_battery_writes_into_no_operator_image_or_sample():
@@ -786,6 +837,11 @@ def test_dc_gap_check_validation():
     tr = map_trace(5)
     with pytest.raises(UsageError):
         dc_gap_check(tr, ORIGIN, 4.0 / 3.0, 0.0)
+
+
+def test_dc_gap_check_rejects_a_negative_nu():
+    with pytest.raises(UsageError, match="^recovered alpha_k must be positive$"):
+        dc_gap_check(map_trace(5), ORIGIN, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,13 @@ def test_intersect_affine_of_a_point_set():
         intersect_affine(AffineSubspace([2.0, 1.0], np.empty((0, 2))), LINE_A)
 
 
+def test_intersect_affine_rejects_sets_of_two_dimensions():
+    plane = Hyperplane([0.0, 0.0, 1.0], 0.0)
+    with pytest.raises(UsageError,
+                       match="^dimension mismatch between the two affine sets$"):
+        intersect_affine(LINE_A, plane)
+
+
 def test_intersect_affine_line_and_plane_in_3d():
     plane = Hyperplane([0.0, 0.0, 1.0], 0.0)
     line = AffineSubspace([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])
