@@ -58,9 +58,9 @@ _PAPER = {
 
 
 def cmd_example_paper(out_dir: str, iters: int = 30) -> int:
-    cfg = configio.parse_config({**_PAPER, "iterations": _iters(iters)})
-    named = _run_methods(cfg, 1e-300, out_dir, out_dir,
-                         ("iterate trajectories", "log10 error per step"))
+    cfg = configio.parse_config({**_PAPER, "iterations": _iters(iters),
+                                 "outputs": {"csv": out_dir, "svg": out_dir}})
+    named = _run_methods(cfg, 1e-300, ("iterate trajectories", "log10 error per step"))
     n = max(tr.iterates.shape[0] for _, tr in named)
     configio._write(os.path.join(out_dir, "errors.csv"), configio._csv_chunks(
         ["k"] + [f"log10_err_{name}" for name, _ in named],
@@ -110,26 +110,22 @@ def _run_method(cfg, method, residual_tol, solution=None, max_iter=None) -> Trac
     return iterate(method.t, method.u, run_cfg, solution=solution)
 
 
-def _run_methods(cfg, residual_tol, csv_dir, svg_dir, titles=(None, None)):
+def _run_methods(cfg, residual_tol, titles=(None, None)):
     """Run every method of cfg against the intersection's single point, when
     it has one (the config's intersection, else the sets'); then, once
-    every run has ended, write each trace's CSV into csv_dir and, given
-    svg_dir, the trajectory plot and, given that point, the error plot,
-    titled by titles.  Returns [(name, trace), ...]."""
+    every run has ended, write each trace's CSV and, given outputs.svg, the
+    trajectory plot and, given that point, the error plot, titled by
+    titles, to their paths in cfg.outputs.  Returns [(name, trace), ...]."""
     solution = (cfg.intersection.point if cfg.intersection is not None
                 else intersection_point(*cfg.sets[:2]))  # InfeasibleError: exit 3
     named = [(method.name, _run_method(cfg, method, residual_tol, solution))
              for method in cfg.methods]
-    for name, trace in named:
-        configio.write_trace_csv(os.path.join(csv_dir, f"{name}.csv"), trace)
-    if svg_dir:
-        labels = [n for n, _ in named]
-        traces = [t for _, t in named]
-        emit_svg(traces, os.path.join(svg_dir, "trajectories.svg"),
-                 kind="trajectory", labels=labels, title=titles[0])
-        if solution is not None:
-            emit_svg(traces, os.path.join(svg_dir, "errors.svg"),
-                     kind="error", labels=labels, title=titles[1])
+    for path, (_, trace) in zip(cfg.outputs["csv"], named):
+        configio.write_trace_csv(path, trace)
+    traces, labels = [t for _, t in named], [n for n, _ in named]
+    kinds = ("trajectory", "error")[:2 if solution is not None else 1]
+    for path, kind, title in zip(cfg.outputs["svg"], kinds, titles):
+        emit_svg(traces, path, kind=kind, labels=labels, title=title)
     return named
 
 
@@ -161,16 +157,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     cfg = _load(config_path, seed, iters)
     if tol is not None and not tol > 0:  # checked before anything is written
         raise UsageError(f"--tol must be positive, got {tol}")
-    csv_dir, svg_dir = cfg.outputs.get("csv", "out"), cfg.outputs.get("svg")
-    report = cfg.outputs.get("report", os.path.join(csv_dir, "report.txt"))
-    written = [os.path.join(csv_dir, f"{m.name}.csv") for m in cfg.methods]
-    if svg_dir:
-        written += [os.path.join(svg_dir, "trajectories.svg"),
-                    os.path.join(svg_dir, "errors.svg")]
-    for path in written:  # checked before anything is written
-        if os.path.abspath(path) == os.path.abspath(report):
-            raise UsageError(f"outputs.report {report} is also the run's output {path}")
-    named = _run_methods(cfg, tol if tol is not None else 1e-300, csv_dir, svg_dir)
+    named = _run_methods(cfg, tol if tol is not None else 1e-300)
     report_lines = [f"config: {config_path}", f"seed: {cfg.seed}"]
     for name, trace in named:
         last = trace.solution_errors[-1] if trace.solution_errors else float("nan")
@@ -178,7 +165,7 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
             f"method {name}: steps={trace.n_steps} "
             f"final_residual={trace.final_residual:.17g} final_error={last:.17g}"
         )
-    _output(report_lines, report)
+    _output(report_lines, cfg.outputs["report"])
     return EXIT_OK
 
 
@@ -220,11 +207,9 @@ def _verify_method(cfg, method, oracle, w, probe):
             ("fejer-dc", diagnostics.dc_gap_check(trace, w, n, epsilon, tol=tol)),
         ]
         if kappa is not None:
-            rate = diagnostics.rate_certificate(
+            named.append(("rate", diagnostics.rate_certificate(
                 trace, trace.final, epsilon, delta_projections(method.pair, kappa),
-                n, tol=tol)
-            rate.kappa_hat = kappa
-            named.append(("rate", rate))
+                n, tol=tol)))
     for name, rep in named:
         rep.name = f"{method.name}.{name}"
     return [rep for _, rep in named]
@@ -246,7 +231,7 @@ def cmd_verify(config_path: str, seed=None, iters=None, tol=None) -> int:
     for method in cfg.methods:
         reports += _verify_method(cfg, method, oracle, w, probe)
 
-    _output([rep.line() for rep in reports], cfg.outputs.get("probes"))
+    _output([rep.line() for rep in reports], cfg.outputs["probes"])
     failed = [r for r in reports if not r.skipped and not r.passed]
     if failed:
         print(f"{len(failed)} probe(s) failed", file=sys.stderr)

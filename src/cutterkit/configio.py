@@ -120,7 +120,7 @@ class ExperimentConfig:
     iterations: int
     methods: list
     intersection: ConvexSet | None = None
-    outputs: dict = field(default_factory=dict)
+    outputs: dict = field(default_factory=dict)  # resolved paths: see parse_config
     seed: int = 0
     probe_radius: float = 2.0
     probe_samples: int = 2000
@@ -195,7 +195,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     Structural problems (missing or non-numeric fields, method names
     that are not plain file names or repeat) raise ConfigError; violated
     hypotheses (empty methods, lambda*mu >= 4 on a product entry,
-    dimension mismatches) raise UsageError.
+    dimension mismatches, a report or probes path naming another output
+    file) raise UsageError.  outputs holds every file the config names.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -255,6 +256,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key in ("csv", "svg", "report", "probes"):
         if not isinstance(outputs.get(key, ""), str):
             raise ConfigError(f"outputs: {key} must be a path, got {outputs[key]!r}")
+    csv, svg = outputs.get("csv", "out"), outputs.get("svg")
+    files = {"csv": [os.path.join(csv, f"{m.name}.csv") for m in methods],
+             "svg": [os.path.join(svg, f"{kind}.svg")
+                     for kind in ("trajectories", "errors")] if svg else [],
+             "report": outputs.get("report", os.path.join(csv, "report.txt")),
+             "probes": outputs.get("probes")}
+    seen = {os.path.abspath(path): path for path in files["csv"] + files["svg"]}
+    for key in ("report", "probes"):  # neither may replace another named file
+        path = files[key] and os.path.abspath(files[key])
+        if path in seen:
+            raise UsageError(f"outputs.{key} {files[key]} is also the run's output "
+                             f"{seen[path]}")
+        seen[path] = files[key]
     probe = doc.get("probe", {})
     return ExperimentConfig(
         sets=sets,
@@ -262,7 +276,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         iterations=iterations,
         methods=methods,
         intersection=intersection,
-        outputs=outputs,
+        outputs=files,
         seed=_field(doc, "seed", "config", _integer, 0),
         probe_radius=_field(probe, "radius", "probe", _float, 2.0),
         probe_samples=_field(probe, "samples", "probe", _integer, 2000),

@@ -84,8 +84,8 @@ def sample_ball(probe: ProbeConfig) -> np.ndarray:
 
 @dataclass
 class RegularityReport:
-    """Outcome of one probe: pass/fail, minimum margin, and any measured
-    modulus (kappa_hat) or rate data (q_factor)."""
+    """Outcome of one probe: pass/fail, minimum margin, and any rate data
+    (q_factor)."""
 
     name: str
     passed: bool
@@ -93,7 +93,6 @@ class RegularityReport:
     samples: int
     seed: int | None = None
     violations: list = field(default_factory=list)
-    kappa_hat: float | None = None
     q_factor: float | None = None
     skipped: bool = False
     note: str = ""

@@ -67,18 +67,16 @@ def projection_operator(cset: ConvexSet) -> Operator:
 def relax(t: Operator, lam: float) -> Operator:
     """lam-relaxation x + lam (T(x) - x), 0 <= lam < inf; Fix T kept for lam > 0.
 
-    For lam other than 0 and 1 the map is one closure, fn(x, step=None),
-    which takes step = T(x) - x when its caller holds T(x): the probe
-    battery makes relaxed images by this arithmetic and no other.
+    relax(t, 1) is t.  For lam other than 0 and 1 the map is one closure,
+    fn(x, step=None), which takes step = T(x) - x when its caller holds
+    T(x): the probe battery makes relaxed images by this arithmetic and no
+    other.
     """
     lam = float(lam)
     if not 0 <= lam < np.inf:
         raise UsageError(f"relaxation parameter must be >= 0 and finite, got {lam}")
-    kind = _Own if isinstance(t, _Own) else Operator
     if lam == 1.0:
-        same = kind(t._fn, t.label, t.dim)
-        same._set, same._base = t._set, t._base
-        return same
+        return t
     if lam == 0.0:
         return identity(t.dim)
     label = f"({t.label})_{lam:g}"
@@ -88,7 +86,7 @@ def relax(t: Operator, lam: float) -> Operator:
     def fn(x, step=None):
         return x + lam * (f(x) - x if step is None else step)
 
-    relaxed = kind(fn, label, t.dim)
+    relaxed = (_Own if isinstance(t, _Own) else Operator)(fn, label, t.dim)
     relaxed._base = t
     return relaxed
 

@@ -119,6 +119,25 @@ def test_example_paper_warns_with_the_dr_note_on_dr_alone(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"lambda": 2.5}, "new: first iterate deviates from closed form"),
+    ({"epsilon": 1e-17, "alpha": [1.0] + [1e-17] * 29},
+     "new: error sequence is not strictly decreasing"),
+], ids=["first-iterate", "not-decreasing"])
+def test_example_paper_self_checks_exit_4_after_writing_every_file(
+        tmp_path, capsys, monkeypatch, change, message):
+    # the closed-form checks run on the written traces: a method that
+    # fails them is a code bug, exit 4, with all six files already there
+    methods = cli._PAPER["methods"]
+    monkeypatch.setitem(cli._PAPER, "methods",
+                        methods[:2] + [dict(methods[2], **change)])
+    assert main(["example-paper", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr() == ("", f"run failed: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == [
+        "dr.csv", "errors.csv", "errors.svg", "map.csv", "new.csv",
+        "trajectories.svg"]
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -861,6 +880,30 @@ def test_run_refuses_a_report_path_that_is_another_of_its_outputs(
     assert out == ""
     assert err == (f"validation error: outputs.report {outputs['report']} "
                    f"is also the run's output {clash}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("outputs, key, clash", [
+    ({"csv": "out", "probes": "out/map.csv"}, "probes", "out/map.csv"),
+    ({"csv": "out", "probes": "out/report.txt"}, "probes", "out/report.txt"),
+    ({"csv": "out", "svg": "plots", "probes": "plots/../plots/errors.svg"},
+     "probes", "plots/errors.svg"),
+    ({"csv": "out", "report": "out/map.csv"}, "report", "out/map.csv"),
+], ids=["probes-method-csv", "probes-report", "probes-error-plot",
+        "report-method-csv"])
+def test_run_and_verify_refuse_an_output_path_that_names_another_output(
+        tmp_path, capsys, monkeypatch, command, outputs, key, clash):
+    # neither command may replace a file the other writes: both check the
+    # report and probes paths against every file the config names
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, outputs=outputs, methods=[{"name": "map", "driver": "map"},
+                                                {"name": "dr", "driver": "dr"}])
+    assert main([command, str(cfg)]) == 3
+    assert capsys.readouterr() == ("", f"validation error: outputs.{key} "
+                                       f"{outputs[key]} is also the run's output "
+                                       f"{clash}\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

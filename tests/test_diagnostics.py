@@ -6,7 +6,8 @@ import pytest
 
 from _helpers import (random_halfspace_pair, random_hyperplane_pair,
                       random_valid_pair, wedge_projection)
-from cutterkit import (AffineSubspace, Box, EstimationError, Hyperplane,
+from cutterkit import (AffineSubspace, Box, DegenerateSubgradientError,
+                       EstimationError, Hyperplane,
                        IterationConfig, Operator, ProbeConfig, RelaxationPair, Trace,
                        UsageError, alpha_beta, compose,
                        cutter_check, dc_gap_check, demicontraction_check,
@@ -14,7 +15,8 @@ from cutterkit import (AffineSubspace, Box, EstimationError, Hyperplane,
                        lb1_check, lb2_check, pair_regularity_estimate,
                        projection_operator, rate_certificate,
                        regularity_modulus_estimate, relax,
-                       relaxed_cutter_check, run_dr, run_map, sample_ball)
+                       relaxed_cutter_check, run_dr, run_map, sample_ball,
+                       subgradient_projection)
 from cutterkit import configio, diagnostics
 from cutterkit.theory import demicontraction_rho, nu, split_roots
 
@@ -178,6 +180,17 @@ def test_cutter_check_rejects_an_empty_fixed_sample():
     with pytest.raises(UsageError,
                        match="^fixed_sample must contain at least one point$"):
         cutter_check(projection_operator(LINE_A), [], PROBE)
+
+
+def test_a_probe_passes_the_operators_own_error_through():
+    # DegenerateSubgradientError is a UsageError, a ValueError, yet the
+    # batch evaluation does not rewrap it as a broken batch contract
+    op = subgradient_projection(lambda x: x @ x - 1, lambda x: np.zeros_like(x))
+    probe = ProbeConfig(center=ORIGIN, radius=3.0, sample_count=50, seed=1)
+    with pytest.raises(DegenerateSubgradientError,
+                       match=r"^subgradient g\(x\) \. g\(x\) = 0\.0 is outside "
+                             r"the normal float range"):
+        cutter_check(op, [np.zeros(2)], probe)
 
 
 def test_single_point_operator_is_rejected_by_name():

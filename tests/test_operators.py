@@ -39,6 +39,7 @@ def test_relax_one_returns_same_map():
     r = relax(pa, 1.0)
     x = np.array([1.3, -0.7])
     assert np.array_equal(r(x), pa(x))
+    assert r is pa
 
 
 def test_relax_two_is_reflection():

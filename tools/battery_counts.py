@@ -12,11 +12,15 @@ It prints three numbers of one verify:
 - the calls of AffineSubspace._project on batches of at most 5 rows, the
   membership points of the fixed-point checks;
 - the tracemalloc peak of a second verify, in (2000, 50) float64 arrays
-  of 0.8 MB each (the first verify runs the lazy imports and caches).
+  of 0.8 MB each and in bytes (the first verify runs the lazy imports
+  and caches).
 
 Every operator of the config is built after the count is installed, so
-the raw projections the operators bind are counted too.  The numbers
-have no run-to-run spread: a change of them is a change of the battery.
+the raw projections the operators bind are counted too.  The two
+projection counts have no run-to-run spread: a change of them is a
+change of the battery.  The peak can move by about one small allocation
+from run to run (0.001 arrays, about 800 B); a larger move is a change
+of the battery.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def main(argv=None) -> int:
             tracemalloc.stop()
     print(f"sample-batch projections: {len(sample)}")
     print(f"membership-point projections: {len(member)}")
-    print(f"peak: {peak / (SAMPLES * D * 8):.3f} sample-sized arrays")
+    print(f"peak: {peak / (SAMPLES * D * 8):.3f} sample-sized arrays ({peak} B)")
     return 0
 
 
