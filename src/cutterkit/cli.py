@@ -29,7 +29,7 @@ from .errors import (ConfigError, CutterKitError, DivergenceError,
                      InfeasibleError, ProbeFailure, UsageError)
 from .geometry import intersection, intersection_point
 from .svg import emit_svg
-from .theory import RelaxationPair, delta_projections, nu
+from .theory import delta_projections
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,14 +169,6 @@ def cmd_run(config_path: str, seed=None, iters=None, tol=None) -> int:
     return EXIT_OK
 
 
-# (nu, epsilon) of the baselines.  MAP is the product method with
-# lam = mu = 1 and alpha = nu, which [eps, 2 - eps] holds up to
-# eps = 2 - nu; DR's (P_B)_2 (P_A)_2 is a 2-relaxed cutter.
-_BASELINES = {"map": (nu(RelaxationPair(1.0, 1.0)),
-                      2.0 - nu(RelaxationPair(1.0, 1.0))),
-              "dr": (2.0, 1.0)}
-
-
 def _verify_method(cfg, method, oracle, w, probe):
     """The probe reports of one method, in print order.
 
@@ -184,23 +176,24 @@ def _verify_method(cfg, method, oracle, w, probe):
     intersection oracle and w = its projection of x0, the product probes
     and kappa_hat, all on images of the probe sample computed once for
     the method.  Every method with an oracle then gets the Fejer and
-    per-step gap probes on a run to residual 1e-10, and a product method
-    the rate certificate on that run.
+    per-step gap probes on a run to residual 1e-10 (at most max(iterations,
+    2000) steps, never past a step list's end), and a product method the
+    rate certificate on that run, all at the method's nu and epsilon.
     """
     named, kappa = [], None
     if method.driver == "product":
-        n, epsilon = nu(method.pair), method.epsilon
         named, kappa = diagnostics._product_probes(
             cfg.sets[0], cfg.sets[1], method.t, method.u, method.pair, w, oracle,
             probe)
-    else:
-        n, epsilon = _BASELINES[method.driver]
     if w is None:
         named.append(("product" if method.driver == "product" else "fejer",
                       diagnostics.RegularityReport.skip("", "no intersection oracle")))
     else:
-        trace = _run_method(cfg, method, 1e-10, max_iter=max(cfg.iterations, 2000))
-        tol = probe.tolerance
+        steps = max(cfg.iterations, 2000)
+        if isinstance(method.alpha, list):
+            steps = min(steps, len(method.alpha))
+        trace = _run_method(cfg, method, 1e-10, max_iter=steps)
+        tol, n, epsilon = probe.tolerance, method.nu, method.epsilon
         named += [
             ("fejer", diagnostics.fejer_check(trace, w, intersection_distance=oracle,
                                               tol=tol)),

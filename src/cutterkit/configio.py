@@ -55,7 +55,7 @@ from .errors import ConfigError, UsageError
 from .geometry import (AffineSubspace, Ball, Box, ConvexSet, HalfSpace,
                        Hyperplane, _checked, _row_blocks, as_point)
 from .operators import Operator, compose, identity, projection_operator, relax
-from .theory import RelaxationPair
+from .theory import RelaxationPair, nu
 
 
 def set_from_dict(obj) -> ConvexSet:
@@ -108,6 +108,7 @@ class MethodSpec:
     driver: str                       # map | dr | product
     pair: RelaxationPair | None = None  # product methods only
     alpha: object = 1.0               # a float or a list of floats
+    nu: float | None = None           # steps alpha_k / nu, alpha_k in [eps, 2 - eps]
     epsilon: float | None = None
     t: Operator | None = None         # T and U of a product method
     u: Operator | None = None
@@ -246,8 +247,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 spec.epsilon = min(float(alpha.min()), 2.0 - float(alpha.max()))
             else:
                 spec.epsilon = _field(m, "epsilon", where)
+            spec.nu = nu(spec.pair)
             spec.t = _operator(m.get("T"), sets[0], spec.pair.lam, sets)
             spec.u = _operator(m.get("U"), sets[1], spec.pair.mu, sets)
+        elif driver == "map":  # the (1, 1) product at alpha = nu > 1: eps = 2 - nu
+            spec.nu = nu(RelaxationPair(1.0, 1.0))
+            spec.epsilon = 2.0 - spec.nu
+        else:  # DR's (P_B)_2 (P_A)_2 is a 2-relaxed cutter
+            spec.nu, spec.epsilon = 2.0, 1.0
         methods.append(spec)
 
     outputs = doc.get("outputs", {})

@@ -1213,6 +1213,66 @@ def test_verify_baselines_stop_at_residual_tol(tmp_path, capsys):
     assert re.search(r"^PROBE dr\.fejer PASS .* samples=325 ", out, re.M)
 
 
+STEP_LIST = {"name": "p", "driver": "product", "lambda": 3.0, "mu": 1.0,
+             "alpha": [1.0, 1.2, 0.8, 1.1]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--iters", "10"]])
+def test_verify_runs_a_step_list_to_its_end(tmp_path, capsys, flags):
+    # the trace run stops after the list's 4 steps, whatever --iters says;
+    # it used to ask for a 5th step and exit 3
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=[STEP_LIST], iterations=4)
+    assert main(["verify", str(cfg)] + flags) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 12 and all(ln.startswith("PROBE p.") for ln in lines)
+    assert re.fullmatch(r"PROBE p\.fejer-dc PASS margin=\S+ samples=4 seed=-",
+                        lines[-2])
+    assert lines[-1].startswith("PROBE p.rate SKIP ")
+    assert err == ""
+
+
+def test_run_still_refuses_a_step_list_shorter_than_the_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=[STEP_LIST], iterations=4)
+    assert main(["run", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--iters", "10"]) == 3
+    assert capsys.readouterr().err == \
+        "validation error: step sequence exhausted at k=4\n"
+
+
+@pytest.mark.parametrize("alpha, steps", [(1.0, 117), (0.05, 2000)])
+def test_verify_runs_a_long_step_list_as_its_constant(tmp_path, capsys, alpha,
+                                                      steps):
+    # 2500 steps, 5 iterations: the run stops at residual 1e-10 or at the
+    # 2000-step cap, as it does for the constant alpha
+    cfg = tmp_path / "cfg.json"
+    outs = []
+    for steps_of in ([alpha] * 2500, alpha):
+        write_config(cfg, iterations=5, methods=[dict(
+            STEP_LIST, alpha=steps_of, epsilon=alpha)])
+        assert main(["verify", str(cfg)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert re.search(rf"^PROBE p\.fejer-dc PASS .* samples={steps} ", outs[0],
+                     re.M)
+
+
+def test_verify_takes_u_fixed_points_from_the_projection_onto_b(tmp_path,
+                                                                capsys):
+    # the membership points of U are P_B of the sample; a U whose fixed
+    # points are not all of sets[1] fails the probe's own check
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, methods=[dict(PRODUCT, name="p", alpha=1.0, U={
+        "op": "compose", "outer": {"op": "projection", "set": 1},
+        "inner": {"op": "projection", "set": 0}})])
+    assert main(["verify", str(cfg)]) == 3
+    assert capsys.readouterr() == ("", (
+        "validation error: fixed_sample contains non-fixed points of "
+        "P[Hyperplane]*P[Hyperplane]: max ||T(z) - z|| = 3.066e-01\n"))
+
+
 PRODUCT_PROBES = ["cutter.PA", "cutter.PB", "relaxed-cutter.T",
                   "relaxed-cutter.U", "demicontraction.T", "demicontraction.U"]
 BALL_AND_BOX = {"sets": [{"type": "ball", "center": [0, 0], "radius": 1},

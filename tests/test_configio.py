@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from cutterkit import (AffineSubspace, Ball, Box, ConfigError, HalfSpace,
                        Hyperplane, Trace, UsageError)
+from cutterkit.cli import _PAPER
 from cutterkit.configio import (_csv_chunks, load_config, operator_from_dict,
                                 parse_config, read_trace_csv, set_from_dict,
                                 write_trace_csv)
+from cutterkit.theory import RelaxationPair, nu
 
 
 def base_doc():
@@ -94,6 +96,20 @@ def test_parse_config_happy_path():
     cfg = parse_config(base_doc())
     assert len(cfg.sets) == 2 and cfg.iterations == 30 and cfg.seed == 3
     assert cfg.methods[1].pair.lam == 3.0 and cfg.methods[1].epsilon == 1.0
+
+
+def test_every_method_leaves_the_parser_with_its_nu_and_epsilon():
+    # map is the (1, 1) product with alpha = nu(1, 1) = 4/3; dr's
+    # (P_B)_2 (P_A)_2 is a 2-relaxed cutter; (3, 1) gives nu = 4
+    cfg = parse_config(_PAPER)
+    assert [(m.name, m.nu, m.epsilon) for m in cfg.methods] == [
+        ("map", 1.3333333333333333, 0.6666666666666667), ("dr", 2.0, 1.0),
+        ("new", 4.0, 1.0)]
+    doc = base_doc()
+    doc["methods"] = [{"name": "p", "driver": "product", "lambda": 2.5,
+                       "mu": 1.2, "alpha": [1.0, 1.2, 0.8, 1.1]}]
+    (method,) = parse_config(doc).methods
+    assert (method.nu, method.epsilon) == (nu(RelaxationPair(2.5, 1.2)), 0.8)
 
 
 def test_parse_config_validation_errors():

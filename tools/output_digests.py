@@ -10,8 +10,10 @@ and solution errors; a CLI task's covers the exit code, stdout, stderr,
 the class and text of each warning and every file it wrote.  A verify
 task's digest also covers the bytes of every margin array handed to
 `diagnostics._report`, in call order, so that it sees the last bits that
-the 6-digit `PROBE` lines round away.  Two more lines digest
-`example-paper` at --iters 30 and 1500.
+the 6-digit `PROBE` lines round away.  One more verify task,
+`verify.step-list`, runs the paper's two lines with one product method
+on a 4-entry step list, shorter than verify's trace run.  Two more lines
+digest `example-paper` at --iters 30 and 1500.
 
 Two source trees give the same lines exactly when their outputs are the
 same byte for byte.  Run both with the same WORKDIR, one after the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -83,6 +86,19 @@ def _margin_bytes(diagnostics):
         diagnostics._report = report
 
 
+def _step_list(cli, workdir: str) -> dict:
+    """A verify task on the paper's lines: one product method on a 4-entry
+    step list, with its config written under workdir."""
+    path = os.path.join(workdir, "step-list.json")
+    doc = {**cli._PAPER, "seed": 11, "iterations": 4,
+           "methods": [{"name": "p", "driver": "product", "lambda": 3.0,
+                        "mu": 1.0, "alpha": [1.0, 1.2, 0.8, 1.1]}],
+           "outputs": {"csv": os.path.join(workdir, "step-list")}}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return {"name": "step-list", "path": path}
+
+
 def _trace(trace) -> str:
     return _hash(trace.iterates.tobytes(), repr(trace.residuals),
                  repr(trace.step_sizes), repr(trace.solution_errors))
@@ -98,7 +114,7 @@ def digests(seed: int, workdir: str):
     for i, task in enumerate(sweep.tasks):
         yield f"sweep{i}.{task['fn']}", _trace(sweep.run(task))
     verify = workloads.Verify(cutterkit, seed, workdir)
-    for task in verify.tasks:
+    for task in verify.tasks + [_step_list(cli, workdir)]:
         with _margin_bytes(cutterkit.diagnostics) as margins:
             digest = _cli(cli, ["verify", task["path"]], margins=margins)
         yield f"verify.{task['name']}", digest
