@@ -114,8 +114,8 @@ def _run_methods(cfg, residual_tol, titles=(None, None)):
     """Run every method of cfg against the intersection's single point, when
     it has one (the config's intersection, else the sets'); then, once
     every run has ended, write each trace's CSV and, given outputs.svg, the
-    trajectory plot and, given that point, the error plot, titled by
-    titles, to their paths in cfg.outputs.  Returns [(name, trace), ...]."""
+    trajectory plot at d = 2 and, given that point, the error plot, titled
+    by titles, to their paths in cfg.outputs.  Returns [(name, trace), ...]."""
     solution = (cfg.intersection.point if cfg.intersection is not None
                 else intersection_point(*cfg.sets[:2]))  # InfeasibleError: exit 3
     named = [(method.name, _run_method(cfg, method, residual_tol, solution))
@@ -123,9 +123,11 @@ def _run_methods(cfg, residual_tol, titles=(None, None)):
     for path, (_, trace) in zip(cfg.outputs["csv"], named):
         configio.write_trace_csv(path, trace)
     traces, labels = [t for _, t in named], [n for n, _ in named]
-    kinds = ("trajectory", "error")[:2 if solution is not None else 1]
-    for path, kind, title in zip(cfg.outputs["svg"], kinds, titles):
-        emit_svg(traces, path, kind=kind, labels=labels, title=title)
+    drawable = (cfg.x0.size == 2, solution is not None)
+    for path, kind, title, drawn in zip(cfg.outputs["svg"], ("trajectory", "error"),
+                                        titles, drawable):
+        if drawn:  # emit_svg would only warn and write nothing
+            emit_svg(traces, path, kind=kind, labels=labels, title=title)
     return named
 
 

@@ -245,6 +245,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if m.get("epsilon") is None:
                 # widest admissible window around the configured steps
                 spec.epsilon = min(float(alpha.min()), 2.0 - float(alpha.max()))
+                if not spec.epsilon > 0:
+                    raise UsageError(f"{where}: with no epsilon, alpha must lie in "
+                                     f"the open window (0, 2), got {m['alpha']!r}")
             else:
                 spec.epsilon = _field(m, "epsilon", where)
             spec.nu = nu(spec.pair)

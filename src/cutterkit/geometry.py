@@ -223,7 +223,7 @@ class AffineSubspace(ConvexSet):
         vecs = []
         for i, v in enumerate(rows):  # the first pass is done; the second:
             for q in vecs:
-                v = v - v.dot(q) * q
+                v -= v.dot(q) * q
             n = _norm(v)
             if n > ORTHO_TOL * math.sqrt(vvs[i]):
                 q = v / n
@@ -330,13 +330,13 @@ def _constraint_rows(cset):
 
 
 def _solve_affine(a, b):
-    """(anchor, null_rows) of the intersection of two affine sets.
+    """(anchor, m, rank) of the intersection of two affine sets.
 
-    The anchor is the least-squares solution of the stacked constraints,
-    validated as a finite point; the null rows are the trailing right
-    singular vectors of the stacked matrix, orthonormal up to rounding,
-    and none when the sets meet in one point.  Raises InfeasibleError
-    when the sets do not meet.
+    The anchor is the least-squares solution of the stacked constraints
+    m x = c, validated as a finite point; rank is lstsq's rank of m, which
+    counts the singular values above s_max * max(m.shape) * eps, so the
+    sets meet in one point when it is m's column count.  Raises
+    InfeasibleError when the sets do not meet.
     """
     ma, ca = _constraint_rows(a)
     mb, cb = _constraint_rows(b)
@@ -344,24 +344,23 @@ def _solve_affine(a, b):
         raise UsageError("dimension mismatch between the two affine sets")
     m = np.vstack([ma, mb])
     c = np.concatenate([ca, cb])
-    # lstsq's rank counts the singular values above s_max * max(m.shape)
-    # * eps; a second factorization is needed only for the null rows
     anchor, _, rank, _ = np.linalg.lstsq(m, c, rcond=None)
     anchor = as_point(anchor)
     if _norm(m @ anchor - c) > 1e-9 * (1.0 + _norm(c)):
         raise InfeasibleError("affine sets have empty intersection")
-    if rank == m.shape[1]:
-        return anchor, np.empty((0, m.shape[1]))
-    _, _, vt = np.linalg.svd(m)
-    return anchor, vt[rank:]
+    return anchor, m, rank
 
 
 def intersect_affine(a, b) -> AffineSubspace:
     """Intersection of two affine sets as an AffineSubspace: the
-    least-squares anchor and an orthonormal null-space basis.  Raises
-    InfeasibleError when the sets do not meet: when the anchor misses the
-    stacked constraints m x = c by more than 1e-9 (1 + ||c||)."""
-    return AffineSubspace(*_solve_affine(a, b))
+    least-squares anchor and an orthonormal null-space basis, the trailing
+    right singular vectors of the stacked matrix.  Raises InfeasibleError
+    when the sets do not meet: when the anchor misses the stacked
+    constraints m x = c by more than 1e-9 (1 + ||c||)."""
+    anchor, m, rank = _solve_affine(a, b)
+    # a second factorization only for a flat's null rows
+    null_rows = np.linalg.svd(m)[2][rank:] if rank < m.shape[1] else ()
+    return AffineSubspace(anchor, null_rows)
 
 
 def _affine(*sets) -> bool:
@@ -376,9 +375,9 @@ def intersection(a, b) -> ConvexSet | None:
 
 def intersection_point(a, b):
     """The single point of intersection(a, b); None for a flat or a pair of
-    no known exact form.  Solved for: a flat's null-space rows are counted,
-    not orthonormalized into a basis."""
+    no known exact form.  Solved for: a flat is told by lstsq's rank, with
+    no null-space rows made."""
     if not _affine(a, b):
         return None
-    anchor, null_rows = _solve_affine(a, b)
-    return None if len(null_rows) else anchor
+    anchor, m, rank = _solve_affine(a, b)
+    return anchor if rank == m.shape[1] else None

@@ -274,7 +274,8 @@ def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
      "validation error: step sequence exhausted at k=2"),
     # the default epsilon, min(alpha) and 2 - max(alpha), is 0 at alpha 2
     ({"driver": "product", "lambda": 3.0, "mu": 1.0, "alpha": 2.0}, 30,
-     "validation error: epsilon must be positive, got 0.0"),
+     "validation error: methods[1]: with no epsilon, alpha must lie in the "
+     "open window (0, 2), got 2.0"),
 ], ids=["negative-epsilon", "alpha-outside-window", "steps-exhausted",
         "default-epsilon-zero"])
 def test_run_runs_every_method_before_it_writes_a_file(tmp_path, capsys, method,
@@ -288,6 +289,25 @@ def test_run_runs_every_method_before_it_writes_a_file(tmp_path, capsys, method,
                           "report": str(out / "report.txt")})
     assert main(["run", str(cfg)]) == 3
     assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("alpha", [2.0, 0.0, 2.5, [1.0, 2.0]])
+def test_a_derived_epsilon_that_is_not_positive_names_alpha(tmp_path, capsys,
+                                                            command, alpha):
+    # min(alpha) and 2 - max(alpha) is 0 or below, and the config sets no
+    # epsilon: the message names the field it does set
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, methods=[{"name": "map", "driver": "map"},
+                               {"name": "new", "driver": "product", "lambda": 3.0,
+                                "mu": 1.0, "alpha": alpha}],
+                 outputs={"csv": str(out), "svg": str(out)})
+    assert main([command, str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: methods[1]: with no epsilon, alpha must lie in the "
+        f"open window (0, 2), got {alpha!r}\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -405,23 +425,57 @@ def test_run_creates_the_report_directory(tmp_path, capsys):
         capsys.readouterr().out.splitlines()
 
 
+def _cli_process(args, *flags):
+    """cutterkit.cli run as `python [flags] -m cutterkit.cli args` with this
+    checkout's src/ on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return subprocess.run([sys.executable, *flags, "-m", "cutterkit.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+LINES_IN_R3 = {"sets": [{"type": "hyperplane", "normal": [0, 0, 1], "offset": 0},
+                        {"type": "hyperplane", "normal": [0, 1, 0], "offset": 0}]}
+
+
 def test_run_creates_each_output_directory_at_its_first_write(tmp_path,
                                                               capsys):
-    # lines in R^3 meet in a line: no errors.svg, and the trajectories of
-    # d = 3 are skipped, so the SVG directory would stay empty
+    # lines in R^3 meet in a line: no errors.svg, and no trajectories at
+    # d = 3, so the SVG directory would stay empty; run asks for neither
+    # plot, so it warns nothing (the suite fails on a UserWarning)
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "csv" / "deep"
-    write_config(cfg, problem={"sets": [
-        {"type": "hyperplane", "normal": [0, 0, 1], "offset": 0},
-        {"type": "hyperplane", "normal": [0, 1, 0], "offset": 0}]},
-        x0=[1.0, 1.0, 1.0],
-        outputs={"csv": str(out), "svg": str(tmp_path / "svg")})
-    with pytest.warns(UserWarning) as record:
-        assert main(["run", str(cfg)]) == 0
-    assert str(record[-1].message) == "nothing to plot; no SVG written"
+    write_config(cfg, problem=LINES_IN_R3, x0=[1.0, 1.0, 1.0],
+                 outputs={"csv": str(out), "svg": str(tmp_path / "svg")})
+    assert main(["run", str(cfg)]) == 0
     assert sorted(os.listdir(out)) == ["dr.csv", "map.csv", "new.csv",
                                        "report.txt"]
     assert not (tmp_path / "svg").exists()
+
+
+def test_run_at_d_3_raises_no_warning_under_w_error(tmp_path):
+    # run asks for no plot that it cannot draw: -W error turns any Python
+    # warning into a traceback and exit 1
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg, problem=LINES_IN_R3, x0=[1.0, 1.0, 1.0],
+                 outputs={"csv": str(out), "svg": str(tmp_path / "svg")})
+    proc = _cli_process(["run", str(cfg)], "-W", "error")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(os.listdir(out)) == ["dr.csv", "map.csv", "new.csv",
+                                       "report.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+
+
+def test_verify_and_example_paper_end_alike_under_w_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem=LINES_IN_R3, x0=[1.0, 1.0, 1.0],
+                 outputs={"csv": str(tmp_path / "out"), "svg": str(tmp_path / "svg")})
+    for args in (["verify", str(cfg)],
+                 ["example-paper", "--out", str(tmp_path / "paper")]):
+        plain, strict = (_cli_process(args, *flags) for flags in ((), ("-W", "error")))
+        assert (strict.returncode, strict.stdout, strict.stderr) == \
+            (plain.returncode, plain.stdout, plain.stderr)
 
 
 def test_svg_text_is_xml_escaped(tmp_path, capsys):

@@ -4,16 +4,18 @@
 
 Imports cutterkit from SRC and the task lists of bench/workloads.py for
 SEED, runs every sweep, verify and run-io task once in this process, and
-prints one line per task: its name and a digest of what it gave.  A
-sweep task's digest covers the trace's iterates, residuals, step sizes
-and solution errors; a CLI task's covers the exit code, stdout, stderr,
-the class and text of each warning and every file it wrote.  A verify
-task's digest also covers the bytes of every margin array handed to
-`diagnostics._report`, in call order, so that it sees the last bits that
-the 6-digit `PROBE` lines round away.  One more verify task,
+prints lines of a name and a digest of what the task gave.  A sweep
+task's one line covers the trace's iterates, residuals, step sizes and
+solution errors.  A CLI task has two lines, what it wrote apart from
+what it printed to the user: `<name>` covers the exit code, stdout and
+every file it wrote, and `<name>.stderr` its stderr and the class and
+text of each warning.  A verify task's `<name>` digest also covers the
+bytes of every margin array handed to `diagnostics._report`, in call
+order, so that it sees the last bits that the 6-digit `PROBE` lines
+round away.  One more verify task,
 `verify.step-list`, runs the paper's two lines with one product method
-on a 4-entry step list, shorter than verify's trace run.  Two more lines
-digest `example-paper` at --iters 30 and 1500.
+on a 4-entry step list, shorter than verify's trace run.  Two more CLI
+tasks run `example-paper` at --iters 30 and 1500.
 
 Two source trees give the same lines exactly when their outputs are the
 same byte for byte.  Run both with the same WORKDIR, one after the
@@ -48,10 +50,12 @@ def _hash(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _cli(cli, argv, out_dir=None, margins=()) -> str:
-    """Digest of one cli.main call and, given out_dir, the files in it
-    (names and bytes, as the benchmark's run-io check digests them); the
-    list margins, filled during the call, joins the digest."""
+def _cli(cli, name, argv, out_dir=None, margins=()):
+    """The two lines of one cli.main call: (name, digest) of its exit
+    code, stdout and, given out_dir, the files in it (names and bytes, as
+    the benchmark's run-io check digests them), which the list margins,
+    filled during the call, joins; then (name.stderr, digest) of its
+    stderr and warnings."""
     import workloads
 
     out, err = io.StringIO(), io.StringIO()
@@ -64,7 +68,8 @@ def _cli(cli, argv, out_dir=None, margins=()) -> str:
     files = workloads._digest(out_dir) if out_dir and os.path.isdir(out_dir) else ""
     if out_dir:
         shutil.rmtree(out_dir, ignore_errors=True)
-    return _hash(code, out.getvalue(), err.getvalue(), *shown, files, *margins)
+    yield name, _hash(code, out.getvalue(), files, *margins)
+    yield f"{name}.stderr", _hash(err.getvalue(), *shown)
 
 
 @contextmanager
@@ -105,7 +110,7 @@ def _trace(trace) -> str:
 
 
 def digests(seed: int, workdir: str):
-    """(name, digest) of every task, in task-list order."""
+    """(name, digest) of every line, in task-list order."""
     import cutterkit
     import workloads
     from cutterkit import cli
@@ -116,16 +121,16 @@ def digests(seed: int, workdir: str):
     verify = workloads.Verify(cutterkit, seed, workdir)
     for task in verify.tasks + [_step_list(cli, workdir)]:
         with _margin_bytes(cutterkit.diagnostics) as margins:
-            digest = _cli(cli, ["verify", task["path"]], margins=margins)
-        yield f"verify.{task['name']}", digest
+            yield from _cli(cli, f"verify.{task['name']}", ["verify", task["path"]],
+                            margins=margins)
     run_io = workloads.RunIo(cutterkit, seed, workdir)
     for task in run_io.tasks:
-        yield f"run-io.{task['name']}", _cli(cli, ["run", task["path"]],
-                                             task["doc"]["outputs"]["csv"])
+        yield from _cli(cli, f"run-io.{task['name']}", ["run", task["path"]],
+                        task["doc"]["outputs"]["csv"])
     for iters in (30, 1500):
         out = os.path.join(workdir, "paper")
-        yield f"example-paper.iters{iters}", _cli(
-            cli, ["example-paper", "--out", out, "--iters", str(iters)], out)
+        yield from _cli(cli, f"example-paper.iters{iters}",
+                        ["example-paper", "--out", out, "--iters", str(iters)], out)
 
 
 def main(argv=None) -> int:
