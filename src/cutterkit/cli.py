@@ -99,15 +99,19 @@ def _run_method(cfg, method, residual_tol, solution=None, max_iter=None) -> Trac
         return run_map(a, b, cfg.x0, iters, residual_tol, solution)
     if method.driver == "dr":
         return run_dr(a, b, cfg.x0, iters, residual_tol, solution)
-    run_cfg = IterationConfig(
-        pair=method.pair,
-        x0=cfg.x0,
-        epsilon=method.epsilon,
-        alpha=method.alpha,
-        max_iter=iters,
-        residual_tol=residual_tol,
-    )
-    return iterate(method.t, method.u, run_cfg, solution=solution)
+    try:
+        run_cfg = IterationConfig(
+            pair=method.pair,
+            x0=cfg.x0,
+            epsilon=method.epsilon,
+            alpha=method.alpha,
+            max_iter=iters,
+            residual_tol=residual_tol,
+        )
+        return iterate(method.t, method.u, run_cfg, solution=solution)
+    except UsageError as exc:  # named by its method, as parse_config's are
+        i = [m is method for m in cfg.methods].index(True)
+        raise UsageError(f"methods[{i}]: {exc}") from None
 
 
 def _run_methods(cfg, residual_tol, titles=(None, None)):

@@ -293,16 +293,20 @@ def lb1_check(t: Operator, u: Operator, pair: RelaxationPair, fixed_sample,
     return _fixed_point_probe("lb1", (t, u), fixed_sample, probe, _lb1, pair=pair)
 
 
-def _kept(probe, d, *images):
-    """d, the probe sample X and images of X over the rows whose d is not
-    at most the tolerance, NaN included: the arrays themselves if every
-    row is kept, else d and X cut and each image None, to be evaluated on
-    the kept batch (BLAS sums a row in an order that depends on its place
-    in a batch)."""
-    keep = ~(d <= probe.tolerance)
-    if keep.all():
-        return (d, probe.samples, *images)
-    return (d[keep], probe.samples[keep]) + (None,) * len(images)
+def _kept(probe, d):
+    """The mask of the rows of the probe sample whose d is not at most the
+    tolerance, NaN included: a bound over a distance to a fixed set says
+    nothing at a sample on that set."""
+    return ~(d <= probe.tolerance)
+
+
+def _estimate(probe, reduce, num, d, degenerate) -> float:
+    """reduce(num / d) over the rows of the probe sample that _kept keeps
+    of d; none kept is an EstimationError that names degenerate."""
+    keep = _kept(probe, d)
+    if not keep.any():
+        raise EstimationError(f"all samples are degenerate ({degenerate})")
+    return float(reduce(num[keep] / d[keep]))
 
 
 def _lb2_coef(pair) -> float:
@@ -311,22 +315,20 @@ def _lb2_coef(pair) -> float:
     return (abs(a_) / (1.0 + b_ * math.sqrt(nu(pair)))) ** 2
 
 
-def _lb2(t, u, pair, probe, dist, d=None, tx=None, utx=None,
-         aa=None) -> RegularityReport:
-    """lb2 on the rows of the probe sample X that _kept keeps, d = dist(X)
-    as given or evaluated; T(X), U(T(X)) and aa = ||T(X) - X||^2 as given
-    when every row is kept, else evaluated on the kept rows."""
+def _lb2(pair, probe, d, tx, utx, aa=None) -> RegularityReport:
+    """lb2 on the rows of the probe sample X that _kept keeps, given d =
+    d(X, Fix T n Fix U), T(X), U(T(X)) and aa = ||T(X) - X||^2 if known;
+    a row not kept divides by inf, so its dropped margin warns nothing."""
     if pair.lam == pair.mu:
         return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
-    d = _distance(dist, probe.samples) if d is None else d
-    d, x, tx, utx, aa = _kept(probe, d, tx, utx, aa)
-    if not d.size:
+    keep = _kept(probe, d)
+    if not keep.any():
         return RegularityReport.skip("lb2", "all samples degenerate", probe.seed)
-    tx = _eval_batch(t, x) if tx is None else tx
-    utx = _eval_batch(u, tx) if utx is None else utx
+    x, d = probe.samples, np.where(keep, d, math.inf)
     images = (x, tx, utx, d) if aa is None else (x, tx, utx, d, aa)
     margins = _rows(_lb2_rows, (), images, coef=_lb2_coef(pair))[0]
-    return _report("lb2", margins, x, probe.tolerance, probe.seed)
+    keep = slice(None) if keep.all() else keep  # X itself, not a copy of it
+    return _report("lb2", margins[keep], x[keep], probe.tolerance, probe.seed)
 
 
 def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
@@ -338,7 +340,11 @@ def lb2_check(t: Operator, u: Operator, pair: RelaxationPair,
     Vacuous (SKIP) when lam == mu, since alpha = 0.  Samples inside the
     intersection are skipped as _kept does; a NaN distance fails.
     """
-    return _lb2(t, u, pair, probe, intersection_distance)
+    if pair.lam == pair.mu:
+        return RegularityReport.skip("lb2", "vacuous: lam == mu", probe.seed)
+    x = probe.samples
+    d, tx = _distance(intersection_distance, x), _eval_batch(t, x)
+    return _lb2(pair, probe, d, tx, _eval_batch(u, tx))
 
 
 def regularity_modulus_estimate(t: Operator, fixed_set, probe: ProbeConfig) -> float:
@@ -347,20 +353,9 @@ def regularity_modulus_estimate(t: Operator, fixed_set, probe: ProbeConfig) -> f
     An upper bound on the true linear-regularity modulus over the samples
     _kept keeps; fixed_set, Fix T, is a ConvexSet or a distance callable.
     """
-    d, x = _kept(probe, _distance(fixed_set, probe.samples))
-    if not d.size:
-        raise EstimationError("all samples are degenerate (on the fixed set)")
-    return float(np.min(_norms(_eval_batch(t, x) - x) / d))
-
-
-def _kappa_hat(probe, dm, intersection, di=None) -> float:
-    """max d(x, A n B) / dm over the rows x of the probe sample _kept keeps,
-    dm = max{d(x, A), d(x, B)}, on di = d(X, A n B) as given or evaluated,
-    and where _kept drops rows evaluated on the kept batch."""
-    dm, x, di = _kept(probe, dm, di)
-    if not dm.size:
-        raise EstimationError("all samples are degenerate (max distance ~ 0)")
-    return float(np.max((_distance(intersection, x) if di is None else di) / dm))
+    x = probe.samples
+    return _estimate(probe, np.min, _norms(_eval_batch(t, x) - x),
+                     _distance(fixed_set, x), "on the fixed set")
 
 
 def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
@@ -372,7 +367,8 @@ def pair_regularity_estimate(a, b, intersection, probe: ProbeConfig) -> float:
     reads the samples _kept keeps, so a NaN distance gives a NaN estimate.
     """
     x = probe.samples
-    return _kappa_hat(probe, np.maximum(_distance(a, x), _distance(b, x)), intersection)
+    return _estimate(probe, np.max, _distance(intersection, x),
+                     np.maximum(_distance(a, x), _distance(b, x)), "max distance ~ 0")
 
 
 def _image(op, x, cset, px, whole=True):
@@ -452,11 +448,10 @@ def _product_probes(a, b, t, u, pair: RelaxationPair, w, intersection,
     _members((t, u), [w], probe)  # lb1's, the same point
     cut = report("cutter", _rows(_product_cutter, zs, (x, utx), product=product)[0])
     lb1 = report("lb1", _rows(_lb1, zs, (x, tx, utx), pair=pair)[0])
-    tx, utx, aa = _kept(probe, dw, tx, utx, aa)[2:]  # gone where _lb2 cuts rows
     named += [("product.cutter", cut), ("lb1", lb1),
-              ("lb2", _lb2(t, u, pair, probe, intersection, dw, tx, utx, aa))]
+              ("lb2", _lb2(pair, probe, dw, tx, utx, aa))]
     del tx, utx  # T(X) and U(T(X)) go before kappa_hat
-    return named, _kappa_hat(probe, np.maximum(*dists), intersection, dw)
+    return named, _estimate(probe, np.max, dw, np.maximum(*dists), "max distance ~ 0")
 
 
 def rate_certificate(trace: Trace, x_star, epsilon: float, delta: float,

@@ -267,11 +267,11 @@ def test_overrides_are_held_to_their_fields_rules_before_anything_is_written(
 
 @pytest.mark.parametrize("method, iterations, message", [
     (dict(PRODUCT, epsilon=-1), 30,
-     "validation error: epsilon must be positive, got -1.0"),
+     "validation error: methods[1]: epsilon must be positive, got -1.0"),
     (dict(PRODUCT, alpha=1.9, epsilon=0.5), 30,
-     "validation error: step 0: 1.9 outside [0.5, 1.5]"),
+     "validation error: methods[1]: step 0: 1.9 outside [0.5, 1.5]"),
     (dict(PRODUCT, alpha=[1.0, 1.0]), 5,
-     "validation error: step sequence exhausted at k=2"),
+     "validation error: methods[1]: step sequence exhausted at k=2"),
     # the default epsilon, min(alpha) and 2 - max(alpha), is 0 at alpha 2
     ({"driver": "product", "lambda": 3.0, "mu": 1.0, "alpha": 2.0}, 30,
      "validation error: methods[1]: with no epsilon, alpha must lie in the "
@@ -290,6 +290,24 @@ def test_run_runs_every_method_before_it_writes_a_file(tmp_path, capsys, method,
     assert main(["run", str(cfg)]) == 3
     assert capsys.readouterr().err == message + "\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("steps, message", [
+    ({"alpha": 1.0, "epsilon": 0}, "epsilon must be positive, got 0.0"),
+    ({"alpha": 1.0, "epsilon": 1.5}, "empty step window [1.5, 0.5]"),
+    ({"alpha": 1.8, "epsilon": 0.5}, "step 0: 1.8 outside [0.5, 1.5]"),
+    ({"alpha": [1.0, 1.0, 1.95], "epsilon": 0.1}, "step 2: 1.95 outside [0.1, 1.9]"),
+], ids=["zero-epsilon", "empty-window", "first-step", "third-step"])
+def test_a_step_schedule_error_names_its_method(tmp_path, capsys, command, steps,
+                                                message):
+    # parse_config accepts both methods; the second one's step schedule
+    # fails only once it runs
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, iterations=5, methods=[
+        dict(PRODUCT, name="a", alpha=1.0), dict(PRODUCT, name="b", **steps)])
+    assert main([command, str(cfg)]) == 3
+    assert capsys.readouterr() == ("", f"validation error: methods[1]: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -1293,7 +1311,7 @@ def test_run_still_refuses_a_step_list_shorter_than_the_run(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
     assert main(["run", str(cfg), "--iters", "10"]) == 3
     assert capsys.readouterr().err == \
-        "validation error: step sequence exhausted at k=4\n"
+        "validation error: methods[0]: step sequence exhausted at k=4\n"
 
 
 @pytest.mark.parametrize("alpha, steps", [(1.0, 117), (0.05, 2000)])

@@ -560,23 +560,29 @@ def _caching(op):
     return Operator(fn, "cached", op.dim), cache
 
 
-def test_battery_drops_its_images_before_lb2_evaluates_the_kept_rows():
-    # boxes in R^50 whose intersection holds 266 of the 2000 samples: lb2
-    # evaluates T and U on the other rows, after the battery has let go of
-    # its whole T(X) and U(T(X)); holding them too would peak at 5.4
-    d, n = 50, 2000
+def _boxes_d50():
+    """Boxes in R^50 whose intersection holds 266 of the 2000 samples of
+    B(0, 2) at seed 3; the operators are built at each call."""
+    d = 50
     a, b = Box(-np.ones(d), np.ones(d)), Box(-0.5 * np.ones(d), 2.0 * np.ones(d))
-    inter = Box(-0.5 * np.ones(d), np.ones(d))
     t, u = relax(projection_operator(a), 1.5), relax(projection_operator(b), 2.5)
-    pair, w = RelaxationPair(1.5, 2.5), np.zeros(d)
+    return (a, b, t, u, RelaxationPair(1.5, 2.5), np.zeros(d),
+            Box(-0.5 * np.ones(d), np.ones(d)))
+
+
+def test_battery_masks_the_rows_in_the_intersection_within_four_arrays():
+    # lb2 and kappa_hat drop the 266 rows by a mask over the battery's
+    # whole images, so no image of the kept rows is held beside them
+    battery = _boxes_d50()
+    n, d = 2000, 50
 
     def peak():
-        probe = ProbeConfig(center=w, radius=2.0, sample_count=n, seed=3)
+        probe = ProbeConfig(center=np.zeros(d), radius=2.0, sample_count=n, seed=3)
         probe.samples  # drawn before the count
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            named, _ = diagnostics._product_probes(a, b, t, u, pair, w, inter, probe)
+            named, _ = diagnostics._product_probes(*battery, probe)
             return tracemalloc.get_traced_memory()[1] - start, named
         finally:
             tracemalloc.stop()
@@ -585,6 +591,39 @@ def test_battery_drops_its_images_before_lb2_evaluates_the_kept_rows():
     used, named = peak()
     assert named[-1][1].samples == 1734
     assert used <= 4.0 * n * d * 8
+
+
+BOXES_D50_LINES = [
+    "PROBE cutter PASS margin=-0 samples=2000 seed=3",
+    "PROBE cutter PASS margin=-0 samples=2000 seed=3",
+    "PROBE relaxed-cutter PASS margin=0 samples=2000 seed=3",
+    "PROBE relaxed-cutter PASS margin=-1.11022e-16 samples=2000 seed=3",
+    "PROBE demicontraction PASS margin=0 samples=2000 seed=3",
+    "PROBE demicontraction PASS margin=-1.77636e-15 samples=2000 seed=3",
+    "PROBE cutter PASS margin=-0 samples=2000 seed=3",
+    "PROBE lb1 PASS margin=0 samples=2000 seed=3",
+    "PROBE lb2 PASS margin=0.000147793 samples=1734 seed=3",
+]
+
+
+def test_battery_makes_one_image_per_operator_when_rows_are_dropped(monkeypatch):
+    # P_A(X), P_B(X), U(T(X)) = P_B(T(X)) and d(X, A n B), each on the
+    # whole sample; T(X) and U(X) are made of P_A(X) and P_B(X).  No image
+    # is made again on the 1734 rows that lb2 and kappa_hat keep
+    batches = []
+    project = Box._project
+
+    def counted(self, x):
+        if x.ndim == 2 and len(x) > 5:
+            batches.append(len(x))
+        return project(self, x)
+
+    monkeypatch.setattr(Box, "_project", counted)  # before the operators bind it
+    probe = ProbeConfig(center=np.zeros(50), radius=2.0, sample_count=2000, seed=3)
+    named, kappa_hat = diagnostics._product_probes(*_boxes_d50(), probe)
+    assert batches == [2000] * 4
+    assert [rep.line() for _, rep in named] == BOXES_D50_LINES
+    assert kappa_hat == 1.178640703572916
 
 
 def test_battery_writes_into_no_operator_image_or_sample():
